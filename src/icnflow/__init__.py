@@ -39,9 +39,7 @@ from .model import (
     CycleStats,
     ModelError,
     RoundStats,
-    SweepPoint,
     cycle,
-    sweep_model,
     wmax,
 )
 from .sim import (
@@ -52,11 +50,9 @@ from .sim import (
     FaceState,
     SimConfig,
     SimResult,
-    SimSweepPoint,
     halving_points,
     run,
     select_face,
-    sweep_sim,
     validate_config,
 )
 
@@ -67,10 +63,9 @@ __all__ = [
     "pipeline_capacity", "rate_msgs", "rtt", "scenario_with", "validate",
     "share_cf", "share_fpf", "share_pe", "share_re", "share_ug",
     "sharing_function",
-    "CycleStats", "ModelError", "RoundStats", "SweepPoint",
-    "cycle", "sweep_model", "wmax",
+    "CycleStats", "ModelError", "RoundStats", "cycle", "wmax",
     "FPF_CAP_ESTIMATED", "FPF_CAP_ORACLE", "LOSS_ORACLE", "LOSS_TIMEOUT",
-    "FaceState", "SimConfig", "SimResult", "SimSweepPoint",
-    "halving_points", "run", "select_face", "sweep_sim", "validate_config",
+    "FaceState", "SimConfig", "SimResult", "halving_points", "run",
+    "select_face", "validate_config",
     "__version__",
 ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -64,14 +65,12 @@ class SweepSpec:
     step: float
 
     def values(self):
-        out = []
-        v = self.start
-        k = 0
-        while v <= self.stop + 1e-9:
-            out.append(round(self.start + k * self.step, 12))
-            k += 1
-            v = self.start + k * self.step
-        return out
+        # Both endpoints.  The 1e-9 of slack is absolute, in sweep units, so
+        # it goes on `stop` before dividing: after the division it would
+        # shrink with the step and drop endpoints that float dust put just
+        # past `stop`.
+        count = math.floor((self.stop + 1e-9 - self.start) / self.step) + 1
+        return [round(self.start + k * self.step, 12) for k in range(count)]
 
 
 @dataclass(frozen=True)

@@ -74,23 +74,34 @@ def pipeline_capacity(path: PathSpec, msg_rate: float) -> int:
     return math.floor(2.0 * path.delay * msg_rate + path.buffer_msgs + _CAP_EPS)
 
 
+def is_whole(x) -> bool:
+    """True for a finite number with no fractional part (3 or 3.0, not 2.5)."""
+    return math.isfinite(x) and x == math.floor(x)
+
+
 def validate(scenario: Scenario) -> list[str]:
     """Returns the list of problems; an empty list means usable."""
     errors = []
     if not scenario.paths:
         errors.append("empty path list")
     for i, p in enumerate(scenario.paths):
-        if not p.delay > 0:
-            errors.append(f"path {i}: delay must be > 0, got {p.delay}")
-        if not p.rate_bps > 0:
-            errors.append(f"path {i}: rate_bps must be > 0, got {p.rate_bps}")
-        if p.buffer_msgs < 0:
-            errors.append(f"path {i}: buffer_msgs must be >= 0, got {p.buffer_msgs}")
-    if scenario.data_msg_bytes <= 0:
-        errors.append(f"data_msg_bytes must be > 0, got {scenario.data_msg_bytes}")
-    if scenario.payload_bytes <= 0:
-        errors.append(f"payload_bytes must be > 0, got {scenario.payload_bytes}")
-    elif scenario.data_msg_bytes > 0 and scenario.payload_bytes > scenario.data_msg_bytes:
+        if not 0 < p.delay < math.inf:
+            errors.append(f"path {i}: delay must be finite and > 0, got {p.delay}")
+        if not 0 < p.rate_bps < math.inf:
+            errors.append(
+                f"path {i}: rate_bps must be finite and > 0, got {p.rate_bps}")
+        if not (is_whole(p.buffer_msgs) and p.buffer_msgs >= 0):
+            errors.append(
+                f"path {i}: buffer_msgs must be a whole number >= 0, "
+                f"got {p.buffer_msgs}")
+    msg_ok = is_whole(scenario.data_msg_bytes) and scenario.data_msg_bytes > 0
+    if not msg_ok:
+        errors.append(f"data_msg_bytes must be a whole number > 0, "
+                      f"got {scenario.data_msg_bytes}")
+    if not (is_whole(scenario.payload_bytes) and scenario.payload_bytes > 0):
+        errors.append(f"payload_bytes must be a whole number > 0, "
+                      f"got {scenario.payload_bytes}")
+    elif msg_ok and scenario.payload_bytes > scenario.data_msg_bytes:
         errors.append(
             f"payload ({scenario.payload_bytes} B) exceeds message size "
             f"({scenario.data_msg_bytes} B)")

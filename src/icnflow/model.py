@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Scenario, SharingVector, StrategyId, pipeline_capacity,
-                   rate_msgs, rtt, scenario_with)
+                   rate_msgs, rtt)
 from .sharing import sharing_function
 
 # Slack for the real-valued sharing functions when checked against integer
@@ -47,13 +47,6 @@ class CycleStats:
     y_gross_bps: float   # receive-rate counting whole Data messages
     y_net_bps: float     # receive-rate counting payload bytes only
     rounds: tuple[RoundStats, ...]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float              # the varied parameter, SI units
-    stats: CycleStats | None  # None when this point failed
-    error: str | None
 
 
 def wmax(scenario: Scenario, strategy: StrategyId) -> int:
@@ -126,17 +119,3 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
         y_net_bps=y * 8.0 * scenario.payload_bytes,
         rounds=tuple(rounds))
 
-
-def sweep_model(scenario: Scenario, strategy: StrategyId, path_index: int,
-                param: str, values) -> list[SweepPoint]:
-    """cycle() across variations of one path parameter ('delay' in s or
-    'rate' in bits/s).  A point that has no feasible window is reported in
-    place instead of aborting the sweep."""
-    points = []
-    for v in values:
-        varied = scenario_with(scenario, path_index, param, v)
-        try:
-            points.append(SweepPoint(v, cycle(varied, strategy), None))
-        except ModelError as exc:
-            points.append(SweepPoint(v, None, str(exc)))
-    return points

@@ -23,8 +23,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .core import (Scenario, StrategyId, pipeline_capacity, rate_msgs,
-                   rtt, scenario_with, validate)
+from .core import (Scenario, StrategyId, is_whole, pipeline_capacity,
+                   rate_msgs, validate)
 
 LOSS_ORACLE = "oracle-immediate"
 LOSS_TIMEOUT = "timeout"
@@ -61,12 +61,15 @@ def validate_config(config: SimConfig) -> list[str]:
     errors = []
     if (config.duration is None) == (config.total_chunks is None):
         errors.append("exactly one of duration and total_chunks must be set")
-    if config.duration is not None and not config.duration > 0:
-        errors.append(f"duration must be > 0, got {config.duration}")
-    if config.total_chunks is not None and config.total_chunks < 1:
-        errors.append(f"total_chunks must be >= 1, got {config.total_chunks}")
-    if config.initial_window < 1:
-        errors.append(f"initial_window must be >= 1, got {config.initial_window}")
+    if config.duration is not None and not 0 < config.duration < math.inf:
+        errors.append(f"duration must be finite and > 0, got {config.duration}")
+    if config.total_chunks is not None and not (
+            is_whole(config.total_chunks) and config.total_chunks >= 1):
+        errors.append(f"total_chunks must be a whole number >= 1, "
+                      f"got {config.total_chunks}")
+    if not (is_whole(config.initial_window) and config.initial_window >= 1):
+        errors.append(f"initial_window must be a whole number >= 1, "
+                      f"got {config.initial_window}")
     if not 0.0 < config.rtt_smoothing_alpha <= 1.0:
         errors.append(
             f"rtt_smoothing_alpha must be in (0, 1], got {config.rtt_smoothing_alpha}")
@@ -98,7 +101,7 @@ class SimResult:
     loss_times: tuple[float, ...]
     per_face_delivered: tuple[int, ...]
     per_face_sent: tuple[int, ...]
-    per_face_dropped: tuple[int, ...]
+    per_face_dropped: tuple[int, ...]   # loss detections, not physical drops
     per_face_inflight: tuple[int, ...]  # still outstanding when the run stopped
     per_face_max_pending: tuple[int, ...]  # high-water mark of in-flight
     max_window: int                     # largest effective window reached
@@ -118,75 +121,84 @@ def _pick(candidates, keys, rng):
     return tied[0] if len(tied) == 1 else rng.choice(tied)
 
 
-def _path_rtts(faces, scenario):
-    # Queue-aware round trip per path: propagation floor, or the time the
-    # current backlog needs to drain, whichever dominates.  Matching the
-    # per-Interest decisions to this quantity is what makes the simulated
-    # splits track the analytical allocation point for point.
-    return [rtt(p, faces[i].pending, rate_msgs(scenario, i))
-            for i, p in enumerate(scenario.paths)]
-
-
-def _select_pe(faces, rng):
-    return _pick(range(len(faces)), [(f.pending,) for f in faces], rng)
-
-
-def _select_re(faces, rtts, rng):
-    # Lowest current round trip wins; pending then index break ties, so
-    # identical paths interleave instead of piling onto one face.
-    return _pick(range(len(faces)),
-                 [(rtts[i], faces[i].pending) for i in range(len(faces))],
-                 rng)
-
-
-def _select_ug(faces, rng):
-    # Stride scheduling: every dispatch grants each face credit proportional
-    # to 1/srtt and the winner pays one unit, so long-run dispatch shares
-    # follow the weights.  Unsampled faces borrow the best known srtt.
-    known = [f.srtt for f in faces if f.srtt is not None]
-    probe = min(known) if known else 1.0
-    inv = [1.0 / (f.srtt if f.srtt is not None else probe) for f in faces]
-    inv_sum = sum(inv)
-    for f, w in zip(faces, inv):
-        f.rr_credit += w / inv_sum
-    i = _pick(range(len(faces)),
-              [(-f.rr_credit, f.pending) for f in faces], rng)
+def _stride(faces, weights, idx, rng):
+    # Stride scheduling: every dispatch grants each face credit in
+    # proportion to its weight and the winner pays one unit, so long-run
+    # dispatch shares follow the weights.
+    w_sum = sum(weights)
+    for f, w in zip(faces, weights):
+        f.rr_credit += w / w_sum
+    i = _pick(idx, [(-f.rr_credit, f.pending) for f in faces], rng)
     faces[i].rr_credit -= 1.0
     return i
 
 
-def _select_cf(faces, rng):
-    # An idle face has unbounded weight: take it at once.
-    zeros = [i for i, f in enumerate(faces) if f.pending == 0]
-    if zeros:
-        return zeros[0] if rng is None or len(zeros) == 1 else rng.choice(zeros)
-    inv = [1.0 / f.pending for f in faces]
-    inv_sum = sum(inv)
-    for f, w in zip(faces, inv):
-        f.rr_credit += w / inv_sum
-    i = _pick(range(len(faces)),
-              [(-f.rr_credit, f.pending) for f in faces], rng)
-    faces[i].rr_credit -= 1.0
-    return i
+def _selector(strategy: StrategyId, faces, scenario: Scenario,
+              config: SimConfig, rng):
+    """The strategy's forwarding rule as a no-argument picker over `faces`.
 
+    Each call returns the face for one outgoing Interest, reading the live
+    face state; ug/cf calls also move the round-robin credits.
+    """
+    idx = range(len(faces))
 
-def _select_fpf(faces, caps, rtts, rng):
-    # Fill the quickest pipe first, but never push a face past its capacity
-    # while another face still has room.  With every cap reached the Interest
-    # goes out anyway (lowest round trip), which is what eventually overflows
-    # a buffer and turns the window around.
-    eligible = [i for i, f in enumerate(faces) if f.pending < caps[i]]
-    pool = eligible if eligible else list(range(len(faces)))
-    keys = [(rtts[i], faces[i].pending) for i in pool]
-    return _pick(pool, keys, rng)
+    if strategy is StrategyId.PE:
+        return lambda: _pick(idx, [f.pending for f in faces], rng)
 
+    if strategy is StrategyId.UG:
+        def pick_ug():
+            # Weights 1/srtt; unsampled faces borrow the best known srtt.
+            known = [f.srtt for f in faces if f.srtt is not None]
+            probe = min(known) if known else 1.0
+            return _stride(faces, [1.0 / (f.srtt if f.srtt is not None
+                                          else probe) for f in faces],
+                           idx, rng)
+        return pick_ug
 
-def _fpf_caps(faces, scenario, config):
-    if config.fpf_capacity_mode == FPF_CAP_ESTIMATED:
-        return [math.inf if f.est_capacity is None else f.est_capacity
-                for f in faces]
-    return [pipeline_capacity(p, rate_msgs(scenario, i))
-            for i, p in enumerate(scenario.paths)]
+    if strategy is StrategyId.CF:
+        def pick_cf():
+            # An idle face has unbounded weight: take it at once.
+            zeros = [i for i, f in enumerate(faces) if f.pending == 0]
+            if zeros:
+                return (zeros[0] if rng is None or len(zeros) == 1
+                        else rng.choice(zeros))
+            return _stride(faces, [1.0 / f.pending for f in faces], idx, rng)
+        return pick_cf
+
+    if strategy is StrategyId.RE:
+        caps = None
+    elif strategy is StrategyId.FPF:
+        if config.fpf_capacity_mode == FPF_CAP_ESTIMATED:
+            caps = lambda: [math.inf if f.est_capacity is None
+                            else f.est_capacity for f in faces]
+        else:
+            oracle = [pipeline_capacity(p, rate_msgs(scenario, i))
+                      for i, p in enumerate(scenario.paths)]
+            caps = lambda: oracle
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    # re and fpf: lowest current round trip wins, pending then index break
+    # ties, so identical paths interleave instead of piling onto one face.
+    # The round trip is core.rtt, queue-aware: the propagation floor or the
+    # time the current backlog needs to drain, whichever dominates.
+    # Matching the per-Interest decisions to this quantity is what makes
+    # the simulated splits track the analytical allocation point for point.
+    two_d = [2.0 * p.delay for p in scenario.paths]
+    rates = [rate_msgs(scenario, i) for i in idx]
+
+    def pick_least_rtt():
+        pool = idx
+        if caps is not None:
+            # fpf: never push a face past its capacity while another face
+            # still has room.  With every cap reached the Interest goes out
+            # anyway, which is what eventually overflows a buffer and turns
+            # the window around.
+            cap = caps()
+            pool = [i for i in idx if faces[i].pending < cap[i]] or idx
+        return _pick(pool, [(max(two_d[i], faces[i].pending / rates[i]),
+                             faces[i].pending) for i in pool], rng)
+    return pick_least_rtt
 
 
 def select_face(strategy: StrategyId, faces, scenario: Scenario,
@@ -196,18 +208,7 @@ def select_face(strategy: StrategyId, faces, scenario: Scenario,
     Mutates the round-robin credits for ug/cf.  Deterministic for a given
     face state and rng state; with no rng, ties go to the lowest index.
     """
-    if strategy is StrategyId.PE:
-        return _select_pe(faces, rng)
-    if strategy is StrategyId.RE:
-        return _select_re(faces, _path_rtts(faces, scenario), rng)
-    if strategy is StrategyId.UG:
-        return _select_ug(faces, rng)
-    if strategy is StrategyId.CF:
-        return _select_cf(faces, rng)
-    if strategy is StrategyId.FPF:
-        return _select_fpf(faces, _fpf_caps(faces, scenario, config),
-                           _path_rtts(faces, scenario), rng)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _selector(strategy, faces, scenario, config, rng)()
 
 
 # ---------------------------------------------------------------------------
@@ -228,36 +229,13 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     delays = [p.delay for p in scenario.paths]
     svc = [8.0 * scenario.data_msg_bytes / p.rate_bps for p in scenario.paths]
     bufs = [p.buffer_msgs for p in scenario.paths]
-    rates = [rate_msgs(scenario, i) for i in range(n)]
-    two_d = [2.0 * p.delay for p in scenario.paths]
-    oracle_caps = [pipeline_capacity(p, rates[i])
-                   for i, p in enumerate(scenario.paths)]
-
-    def cur_rtts():
-        return [max(two_d[i], faces[i].pending / rates[i]) for i in range(n)]
 
     faces = [FaceState() for _ in range(n)]
     rng = random.Random(config.seed) if config.seed != 0 else None
     alpha = config.rtt_smoothing_alpha
     oracle_loss = config.loss_signal == LOSS_ORACLE
     est_mode = config.fpf_capacity_mode == FPF_CAP_ESTIMATED
-
-    if strategy is StrategyId.PE:
-        choose = lambda: _select_pe(faces, rng)
-    elif strategy is StrategyId.RE:
-        choose = lambda: _select_re(faces, cur_rtts(), rng)
-    elif strategy is StrategyId.UG:
-        choose = lambda: _select_ug(faces, rng)
-    elif strategy is StrategyId.CF:
-        choose = lambda: _select_cf(faces, rng)
-    elif est_mode:
-        choose = lambda: _select_fpf(
-            faces,
-            [math.inf if f.est_capacity is None else f.est_capacity
-             for f in faces],
-            cur_rtts(), rng)
-    else:
-        choose = lambda: _select_fpf(faces, oracle_caps, cur_rtts(), rng)
+    choose = _selector(strategy, faces, scenario, config, rng)
 
     # Per-face bottleneck: finish times of the Data messages it still holds
     # (head is in transmission, the rest wait in the buffer).
@@ -428,28 +406,6 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
         per_face_max_pending=tuple(max_pending),
         max_window=max_w,
         window_trace=tuple(trace) if trace is not None else None)
-
-
-@dataclass(frozen=True)
-class SimSweepPoint:
-    value: float             # the varied parameter, SI units
-    result: SimResult | None
-    error: str | None
-
-
-def sweep_sim(scenario: Scenario, strategy: StrategyId, path_index: int,
-              param: str, values, config: SimConfig) -> list[SimSweepPoint]:
-    """run() across variations of one path parameter ('delay' in s or 'rate'
-    in bits/s), each point on a fresh simulator; failures are reported in
-    place instead of aborting the sweep."""
-    points = []
-    for v in values:
-        varied = scenario_with(scenario, path_index, param, v)
-        try:
-            points.append(SimSweepPoint(v, run(varied, strategy, config), None))
-        except ValueError as exc:
-            points.append(SimSweepPoint(v, None, str(exc)))
-    return points
 
 
 def halving_points(trace):

@@ -94,6 +94,30 @@ class TestValidate:
     def test_zero_buffer_is_legal(self):
         assert validate(Scenario((PathSpec(0.02, 10e6, 0),))) == []
 
+    def test_infinite_and_fractional_path_values_are_rejected(self):
+        # Each of these used to pass and then crash pipeline_capacity with an
+        # OverflowError, or be silently used as a fractional buffer.
+        inf = float("inf")
+        for path, word in ((PathSpec(inf, 10e6, 20), "delay"),
+                           (PathSpec(0.02, inf, 20), "rate"),
+                           (PathSpec(0.02, 10e6, 2.5), "buffer"),
+                           (PathSpec(0.02, 10e6, inf), "buffer"),
+                           (PathSpec(float("nan"), 10e6, 20), "delay")):
+            problems = validate(Scenario((path,)))
+            assert len(problems) == 1 and word in problems[0], path
+        # A whole float is still a whole number of messages.
+        assert validate(Scenario((PathSpec(0.02, 10e6, 20.0),))) == []
+
+    def test_infinite_and_fractional_message_sizes_are_rejected(self):
+        # An infinite message size made the message rate zero and crashed
+        # cycle() with a ZeroDivisionError.
+        path = (PathSpec(0.02, 10e6, 20),)
+        for msg, payload, word in ((float("inf"), 4096, "data_msg_bytes"),
+                                   (4876.5, 4096, "data_msg_bytes"),
+                                   (4876, 4096.5, "payload_bytes")):
+            problems = validate(Scenario(path, msg, payload))
+            assert len(problems) == 1 and word in problems[0], (msg, payload)
+
 
 class TestScenarioWith:
     def test_replaces_delay(self):

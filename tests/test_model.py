@@ -1,9 +1,12 @@
 """Unit tests for the cycle-average receive-rate model."""
 
+import csv
+
 import pytest
 
-from icnflow import (ModelError, PathSpec, Scenario, StrategyId, cycle,
-                     pipeline_capacity, rate_msgs, sweep_model, wmax)
+from icnflow import (ModelError, PathSpec, Scenario, SimConfig, StrategyId,
+                     cycle, pipeline_capacity, rate_msgs, scenario_with, wmax)
+from icnflow.cli import ExperimentSpec, SweepSpec, run_experiment
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
@@ -105,15 +108,22 @@ class TestCycle:
 
 
 class TestSweep:
-    def test_sweeps_in_input_order_with_per_point_errors(self):
-        values = [0.020, 0.0001, 0.120]
-        pts = sweep_model(
+    def test_sweeps_in_input_order_with_per_point_errors(self, tmp_path,
+                                                         capsys):
+        # The CLI loop is the one sweep loop.  At 0.1 ms with no buffer,
+        # path 1 holds no message, so that point has no feasible window; it
+        # is reported and the later points still get their rows, in order.
+        spec = ExperimentSpec(
             Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.0, 10e6, 0))),
-            StrategyId.PE, 1, "delay", values)
-        assert [p.value for p in pts] == values
-        assert pts[0].stats is not None and pts[0].error is None
-        assert pts[1].stats is None and "window" in pts[1].error
-        assert pts[2].stats is not None
+            (StrategyId.PE,), "model", SweepSpec(1, "delay_ms", 0.1, 120.1, 60),
+            SimConfig(), str(tmp_path / "sweep"))
+        assert run_experiment(spec) == 3
+        err = capsys.readouterr().err
+        assert "model/pe at 0.1:" in err and "window" in err
+        with open(tmp_path / "sweep-rates.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == ["60.1", "120.1"]
+        assert all(r[2] == "model" and float(r[3]) > 0 for r in rows)
 
     def test_delay_sweep_shape_for_capacity_filling(self):
         # Stretching path 2 lengthens its pipe, so the overflow window grows
@@ -121,10 +131,10 @@ class TestSweep:
         # and never falls below what path 1 alone can carry.  The rate curve
         # itself has small floor-rounding wiggles, so it is not asserted to
         # be monotone.
-        pts = sweep_model(TWO_PATH, StrategyId.FPF, 1, "delay",
-                          [d / 1e3 for d in range(20, 201, 20)])
-        ws = [p.stats.w_max for p in pts]
-        ys = [p.stats.y_msgs_per_s for p in pts]
+        pts = [cycle(scenario_with(TWO_PATH, 1, "delay", d / 1e3),
+                     StrategyId.FPF) for d in range(20, 201, 20)]
+        ws = [p.w_max for p in pts]
+        ys = [p.y_msgs_per_s for p in pts]
         assert all(a < b for a, b in zip(ws, ws[1:]))
         assert ys[0] == max(ys)
         assert min(ys) > 10e6 / 39008

@@ -1,11 +1,14 @@
 """Unit tests for the event-driven simulator."""
 
+import csv
+
 import pytest
 
 from icnflow import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, FaceState, PathSpec,
                      Scenario, SimConfig, StrategyId, halving_points,
-                     pipeline_capacity, rate_msgs, run, select_face, sweep_sim,
+                     pipeline_capacity, rate_msgs, run, select_face,
                      validate_config)
+from icnflow.cli import ExperimentSpec, SweepSpec, run_experiment
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 MSG_SECONDS = 4876 * 8 / 10e6  # service time of one message at 10 Mbps
@@ -32,6 +35,16 @@ class TestConfigValidation:
                                          rtt_smoothing_alpha=0.0)) != []
         assert validate_config(SimConfig(duration=1.0,
                                          loss_signal="carrier-pigeon")) != []
+
+    def test_infinite_and_fractional_values_are_rejected(self):
+        # An infinite duration would never end; fractional counts have no
+        # meaning for whole Interests.
+        for cfg, word in ((SimConfig(duration=float("inf")), "duration"),
+                          (SimConfig(total_chunks=2.5), "total_chunks"),
+                          (SimConfig(duration=1.0, initial_window=1.5),
+                           "initial_window")):
+            problems = validate_config(cfg)
+            assert len(problems) == 1 and word in problems[0], cfg
 
     def test_run_rejects_bad_config(self):
         with pytest.raises(ValueError):
@@ -190,11 +203,17 @@ class TestOtherModes:
         assert res.losses > 0
         assert halving_points(res.window_trace)
 
-    def test_sweep_collects_results_and_errors(self):
-        pts = sweep_sim(TWO_PATH, StrategyId.PE, 1, "delay", [0.04, 0.12],
-                        SimConfig(duration=5.0))
-        assert [p.value for p in pts] == [0.04, 0.12]
-        assert all(p.result is not None and p.error is None for p in pts)
+    def test_sweep_collects_results_and_errors(self, tmp_path):
+        # The CLI loop is the one sweep loop: every point gets a sim row, in
+        # sweep order, and none is reported as failed.
+        spec = ExperimentSpec(TWO_PATH, (StrategyId.PE,), "sim",
+                              SweepSpec(1, "delay_ms", 40, 120, 80),
+                              SimConfig(duration=5.0), str(tmp_path / "sw"))
+        assert run_experiment(spec) == 0
+        with open(tmp_path / "sw-rates.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == ["40", "120"]
+        assert all(r[2] == "sim" and float(r[3]) > 0 for r in rows)
 
 
 class TestTrace:
