@@ -47,7 +47,6 @@ from .sim import (
     FPF_CAP_ORACLE,
     LOSS_ORACLE,
     LOSS_TIMEOUT,
-    FaceState,
     SimConfig,
     SimResult,
     halving_points,
@@ -65,7 +64,7 @@ __all__ = [
     "sharing_function",
     "CycleStats", "ModelError", "RoundStats", "cycle", "wmax",
     "FPF_CAP_ESTIMATED", "FPF_CAP_ORACLE", "LOSS_ORACLE", "LOSS_TIMEOUT",
-    "FaceState", "SimConfig", "SimResult", "halving_points", "run",
+    "SimConfig", "SimResult", "halving_points", "run",
     "select_face", "validate_config",
     "__version__",
 ]

@@ -110,28 +110,11 @@ class SimResult:
 
 # ---------------------------------------------------------------------------
 # per-Interest face selection
-
-def _pick(candidates, keys, rng):
-    # Least key wins; exact ties fall to the lowest index, or to a seeded
-    # random choice when an rng is supplied.
-    best_key = min(keys)
-    if rng is None:
-        return candidates[keys.index(best_key)]
-    tied = [c for c, k in zip(candidates, keys) if k == best_key]
-    return tied[0] if len(tied) == 1 else rng.choice(tied)
-
-
-def _stride(faces, weights, idx, rng):
-    # Stride scheduling: every dispatch grants each face credit in
-    # proportion to its weight and the winner pays one unit, so long-run
-    # dispatch shares follow the weights.
-    w_sum = sum(weights)
-    for f, w in zip(faces, weights):
-        f.rr_credit += w / w_sum
-    i = _pick(idx, [(-f.rr_credit, f.pending) for f in faces], rng)
-    faces[i].rr_credit -= 1.0
-    return i
-
+#
+# Every picker makes one pass over the faces and keeps the least key seen so
+# far (keys are finite).  Exact ties fall to the lowest index or, when an rng
+# is supplied, to a seeded random choice among the tied faces in index
+# order; only such a tie builds a list.
 
 def _selector(strategy: StrategyId, faces, scenario: Scenario,
               config: SimConfig, rng):
@@ -140,42 +123,67 @@ def _selector(strategy: StrategyId, faces, scenario: Scenario,
     Each call returns the face for one outgoing Interest, reading the live
     face state; ug/cf calls also move the round-robin credits.
     """
-    idx = range(len(faces))
+    lanes = list(enumerate(faces))
+
+    def least_pending():
+        best, tied, bp = None, None, math.inf
+        for i, f in lanes:
+            p = f.pending
+            if p < bp:
+                best, bp, tied = i, p, None
+            elif p == bp and rng is not None:
+                tied = tied or [best]
+                tied.append(i)
+        return best if tied is None else rng.choice(tied)
+
+    weights = [0.0] * len(faces)  # refilled by every ug/cf call
+
+    def stride():
+        # Stride scheduling: every dispatch grants each face credit in
+        # proportion to its weight and the winner pays one unit, so long-run
+        # dispatch shares follow the weights.
+        w_sum = sum(weights)
+        best, tied, bk, bp = None, None, math.inf, 0
+        for i, f in lanes:
+            f.rr_credit += weights[i] / w_sum
+            k, p = -f.rr_credit, f.pending
+            if k < bk or k == bk and p < bp:
+                best, bk, bp, tied = i, k, p, None
+            elif k == bk and p == bp and rng is not None:
+                tied = tied or [best]
+                tied.append(i)
+        i = best if tied is None else rng.choice(tied)
+        faces[i].rr_credit -= 1.0
+        return i
 
     if strategy is StrategyId.PE:
-        return lambda: _pick(idx, [f.pending for f in faces], rng)
+        return least_pending
 
     if strategy is StrategyId.UG:
         def pick_ug():
             # Weights 1/srtt; unsampled faces borrow the best known srtt.
-            known = [f.srtt for f in faces if f.srtt is not None]
-            probe = min(known) if known else 1.0
-            return _stride(faces, [1.0 / (f.srtt if f.srtt is not None
-                                          else probe) for f in faces],
-                           idx, rng)
+            probe = None
+            for i, f in lanes:
+                if f.srtt is None and probe is None:
+                    probe = min((g.srtt for g in faces if g.srtt is not None),
+                                default=1.0)
+                weights[i] = 1.0 / (f.srtt if f.srtt is not None else probe)
+            return stride()
         return pick_ug
 
     if strategy is StrategyId.CF:
         def pick_cf():
-            # An idle face has unbounded weight: take it at once.
-            zeros = [i for i, f in enumerate(faces) if f.pending == 0]
-            if zeros:
-                return (zeros[0] if rng is None or len(zeros) == 1
-                        else rng.choice(zeros))
-            return _stride(faces, [1.0 / f.pending for f in faces], idx, rng)
+            try:
+                for i, f in lanes:
+                    weights[i] = 1.0 / f.pending
+            except ZeroDivisionError:
+                # An idle face has unbounded weight: take it at once.  As
+                # pending is never negative, the idle faces are the least.
+                return least_pending()
+            return stride()
         return pick_cf
 
-    if strategy is StrategyId.RE:
-        caps = None
-    elif strategy is StrategyId.FPF:
-        if config.fpf_capacity_mode == FPF_CAP_ESTIMATED:
-            caps = lambda: [math.inf if f.est_capacity is None
-                            else f.est_capacity for f in faces]
-        else:
-            oracle = [pipeline_capacity(p, rate_msgs(scenario, i))
-                      for i, p in enumerate(scenario.paths)]
-            caps = lambda: oracle
-    else:
+    if strategy not in (StrategyId.RE, StrategyId.FPF):
         raise ValueError(f"unknown strategy {strategy!r}")
 
     # re and fpf: lowest current round trip wins, pending then index break
@@ -184,21 +192,42 @@ def _selector(strategy: StrategyId, faces, scenario: Scenario,
     # time the current backlog needs to drain, whichever dominates.
     # Matching the per-Interest decisions to this quantity is what makes
     # the simulated splits track the analytical allocation point for point.
-    two_d = [2.0 * p.delay for p in scenario.paths]
-    rates = [rate_msgs(scenario, i) for i in idx]
+    estimated = config.fpf_capacity_mode == FPF_CAP_ESTIMATED
+    oracle = strategy is StrategyId.FPF and not estimated
+    rates = [rate_msgs(scenario, i) for i, _ in lanes]
+    rtt_lanes = [(i, f, 2.0 * p.delay, r,
+                  pipeline_capacity(p, r) if oracle else None)
+                 for (i, f), p, r in zip(lanes, scenario.paths, rates)]
 
-    def pick_least_rtt():
-        pool = idx
-        if caps is not None:
-            # fpf: never push a face past its capacity while another face
-            # still has room.  With every cap reached the Interest goes out
-            # anyway, which is what eventually overflows a buffer and turns
-            # the window around.
-            cap = caps()
-            pool = [i for i in idx if faces[i].pending < cap[i]] or idx
-        return _pick(pool, [(max(two_d[i], faces[i].pending / rates[i]),
-                             faces[i].pending) for i in pool], rng)
-    return pick_least_rtt
+    def least_rtt(capped=False):
+        best, tied, bk, bp = None, None, math.inf, 0
+        for i, f, two_d, rate, cap in rtt_lanes:
+            p = f.pending
+            if capped:
+                if estimated:
+                    cap = f.est_capacity  # None until learned: no cap
+                if cap is not None and p >= cap:
+                    continue
+            k = p / rate
+            if k < two_d:  # max(2·delay, pending/rate)
+                k = two_d
+            if k < bk or k == bk and p < bp:
+                best, bk, bp, tied = i, k, p, None
+            elif k == bk and p == bp and rng is not None:
+                tied = tied or [best]
+                tied.append(i)
+        return best if tied is None else rng.choice(tied)
+
+    if strategy is StrategyId.RE:
+        return least_rtt
+
+    def pick_fpf():
+        # Never push a face past its capacity while another face still has
+        # room.  With every cap reached the Interest goes out anyway, which
+        # is what eventually overflows a buffer and turns the window around.
+        i = least_rtt(True)
+        return least_rtt(False) if i is None else i
+    return pick_fpf
 
 
 def select_face(strategy: StrategyId, faces, scenario: Scenario,
@@ -287,9 +316,10 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
             else:
                 break
             i = choose()
-            faces[i].pending += 1
-            if faces[i].pending > max_pending[i]:
-                max_pending[i] = faces[i].pending
+            f = faces[i]
+            f.pending += 1
+            if f.pending > max_pending[i]:
+                max_pending[i] = f.pending
             in_flight += 1
             per_sent[i] += 1
             inst = seq

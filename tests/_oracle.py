@@ -93,3 +93,59 @@ def ref_cycle(paths, msg_bytes, token):
         total_msgs += w
         total_time += w / rate_sum
     return w_hi, total_msgs, total_time, total_msgs / total_time
+
+
+# --------------------------------------------------------------------------
+# per-Interest face selection, as a key list per call and the least key
+
+def _ref_pick(candidates, keys, rng):
+    # Least key wins; exact ties fall to the lowest index, or to a seeded
+    # random choice when an rng is supplied.
+    best_key = min(keys)
+    if rng is None:
+        return candidates[keys.index(best_key)]
+    tied = [c for c, k in zip(candidates, keys) if k == best_key]
+    return tied[0] if len(tied) == 1 else rng.choice(tied)
+
+
+def _ref_stride(faces, weights, rng):
+    w_sum = sum(weights)
+    for f, w in zip(faces, weights):
+        f.rr_credit += w / w_sum
+    i = _ref_pick(range(len(faces)),
+                  [(-f.rr_credit, f.pending) for f in faces], rng)
+    faces[i].rr_credit -= 1.0
+    return i
+
+
+def ref_select_face(token, faces, paths, msg_bytes, caps, rng):
+    """Face for one Interest under strategy `token`.
+
+    `faces` are objects with pending, srtt, rr_credit and est_capacity; ug
+    and cf move their rr_credit.  `caps` are fpf's per-face capacities, or
+    None to read each face's learned est_capacity (None there: no cap).
+    """
+    idx = range(len(faces))
+    if token == "pe":
+        return _ref_pick(idx, [f.pending for f in faces], rng)
+    if token == "ug":
+        known = [f.srtt for f in faces if f.srtt is not None]
+        probe = min(known) if known else 1.0
+        return _ref_stride(faces, [1.0 / (f.srtt if f.srtt is not None
+                                          else probe) for f in faces], rng)
+    if token == "cf":
+        zeros = [i for i, f in enumerate(faces) if f.pending == 0]
+        if zeros:
+            return (zeros[0] if rng is None or len(zeros) == 1
+                    else rng.choice(zeros))
+        return _ref_stride(faces, [1.0 / f.pending for f in faces], rng)
+    rates = _rates(paths, msg_bytes)
+    pool = idx
+    if token == "fpf":
+        if caps is None:
+            caps = [math.inf if f.est_capacity is None else f.est_capacity
+                    for f in faces]
+        pool = [i for i in idx if faces[i].pending < caps[i]] or idx
+    return _ref_pick(pool, [(max(2.0 * paths[i][0],
+                                 faces[i].pending / rates[i]),
+                             faces[i].pending) for i in pool], rng)

@@ -3,13 +3,15 @@
 import csv
 import hashlib
 import os
+import random
 from dataclasses import replace
 
 import pytest
 
-from icnflow import StrategyId
-from icnflow.cli import (ExperimentError, SweepSpec, load_experiment, main,
-                         run_experiment)
+from icnflow import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, PathSpec, Scenario,
+                     SimConfig, StrategyId)
+from icnflow.cli import (ExperimentError, ExperimentSpec, SweepSpec,
+                         load_experiment, main, run_experiment)
 
 HERE = os.path.dirname(__file__)
 EXPERIMENTS = os.path.join(HERE, "..", "experiments")
@@ -216,6 +218,18 @@ _PINNED_SHA256 = {
         "9c3f13f97abdcc0f5b928d4eb8cda2ddaf18df372e7cd5e21aee92b3f5fdc653",
     "trace-window-pe.csv":
         "27240cd82078256b53bbb9159e1245f77aa7cb86248e3a078cbd11a602bb4677",
+    "wide-rates.csv":
+        "f798a0e78d1589647130c93c295183115fcd7a1e42183d359f6eb105d48c485f",
+    "wide-window-pe.csv":
+        "cbda7bb802813a9863dd8aa647190aa38ec49b566e46df002f66c10aa5fe6da8",
+    "wide-window-re.csv":
+        "5b6895c8f98c22c2e5ae84026440e15e92441cdabec090ffa3afa6f474baad6a",
+    "wide-window-ug.csv":
+        "cf79c699671c83e195ceb91f20350ef3062674caa5c3b90041ba11ce648722eb",
+    "wide-window-cf.csv":
+        "4525a9d3e91f59af905f6b90b02dee508ba23a0f303e23b2e1fc6eb64657546a",
+    "wide-window-fpf.csv":
+        "a925651fa5311a8a81d94cde456a57a2e1af619bf67e15020524dcbabbfc9ff2",
 }
 
 
@@ -244,6 +258,25 @@ class TestPinnedOutput:
         for name in ("trace-rates.csv", "trace-window-fpf.csv",
                      "trace-window-pe.csv"):
             assert _sha256(tmp_path / name) == _PINNED_SHA256[name], name
+
+    def test_seeded_eight_path_timeout_run_is_pinned(self, tmp_path):
+        # Eight 6.25 Mbit/s paths with 12-message buffers and one-way delays
+        # near 10, 20, ..., 80 ms, moved and shuffled by the seed; every
+        # strategy to 5000 chunks with timeout loss, estimated fpf caps and
+        # window traces.
+        rng = random.Random(1)
+        delays_ms = [10.0 * k + rng.uniform(-0.05, 0.05) for k in range(1, 9)]
+        rng.shuffle(delays_ms)
+        scenario = Scenario(tuple(PathSpec(d / 1e3, 6.25e6, 12)
+                                  for d in delays_ms))
+        sim = SimConfig(total_chunks=5000, seed=1, loss_signal=LOSS_TIMEOUT,
+                        fpf_capacity_mode=FPF_CAP_ESTIMATED, trace_window=True)
+        assert run_experiment(ExperimentSpec(
+            scenario, tuple(StrategyId), "sim", None, sim,
+            str(tmp_path / "wide"))) == 0
+        for name in sorted(_PINNED_SHA256):
+            if name.startswith("wide-"):
+                assert _sha256(tmp_path / name) == _PINNED_SHA256[name], name
 
 
 class TestMain:

@@ -6,12 +6,17 @@ checks their sum, so keep new entries in the dict.
 """
 
 import math
+import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from icnflow import (PathSpec, Scenario, SimConfig, StrategyId, cycle,
-                     pipeline_capacity, rate_msgs, rtt, run, share_fpf,
-                     share_pe, share_re, share_ug, sharing_function, wmax)
+import _oracle
+from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, PathSpec, Scenario,
+                     SimConfig, StrategyId, cycle, pipeline_capacity,
+                     rate_msgs, rtt, run, share_fpf, share_pe, share_re,
+                     share_ug, sharing_function, wmax)
+from icnflow.sim import FaceState, _selector
 
 EXAMPLES = {
     "vector_invariants": 300,
@@ -22,6 +27,7 @@ EXAMPLES = {
     "cycle_identities": 100,
     "sim_conservation": 30,
     "sim_determinism": 20,
+    "selector_differential": 400,
 }
 
 # --------------------------------------------------------------------------
@@ -153,6 +159,53 @@ def test_sent_messages_are_delivered_dropped_or_in_flight(scen, strat, seed):
 def test_same_seed_same_run(scen, strat, seed):
     cfg = SimConfig(duration=3.0, seed=seed, trace_window=True)
     assert run(scen, strat, cfg) == run(scen, strat, cfg)
+
+
+# A lane is one path and the state of its face.  Lanes are drawn from a small
+# pool, so identical lanes, hence exact key ties, are common.
+_LANE = st.tuples(
+    st.builds(PathSpec, st.sampled_from([0.01, 0.02, 0.12]),
+              st.sampled_from([2e6, 10e6, 25e6]), st.integers(0, 20)),
+    st.builds(FaceState,
+              pending=st.integers(0, 12),
+              srtt=st.one_of(st.none(), st.sampled_from([0.02, 0.3]),
+                             st.floats(0.001, 1.0)),
+              rr_credit=st.one_of(st.sampled_from([0.0, -0.5, 1.25]),
+                                  st.floats(-3.0, 3.0)),
+              est_capacity=st.one_of(st.none(), st.sampled_from([2.25, 6.0]),
+                                     st.floats(0.0, 15.0))))
+
+
+@settings(max_examples=EXAMPLES["selector_differential"], deadline=None,
+          derandomize=True)
+@given(st.lists(_LANE, min_size=1, max_size=8), st.data(), ALL_STRATEGIES,
+       st.sampled_from([FPF_CAP_ORACLE, FPF_CAP_ESTIMATED]),
+       st.one_of(st.none(), st.integers(1, 2**32)), st.integers(1, 4))
+def test_face_selector_matches_the_key_list_reference(pool, data, strat,
+                                                      cap_mode, seed, calls):
+    lanes = [pool[k] for k in data.draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=1, max_size=8))]
+    scen = Scenario(tuple(path for path, _ in lanes))
+    faces = [replace(face) for _, face in lanes]
+    ref_faces = [replace(face) for _, face in lanes]
+    rng = random.Random(seed) if seed is not None else None
+    ref_rng = random.Random(seed) if seed is not None else None
+    caps = None
+    if cap_mode == FPF_CAP_ORACLE:
+        caps = [pipeline_capacity(p, rate_msgs(scen, i))
+                for i, p in enumerate(scen.paths)]
+    paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
+    pick = _selector(strat, faces, scen,
+                     SimConfig(duration=1.0, fpf_capacity_mode=cap_mode), rng)
+    for _ in range(calls):
+        i = pick()
+        assert i == _oracle.ref_select_face(strat.token, ref_faces, paths,
+                                            scen.data_msg_bytes, caps, ref_rng)
+        assert [f.rr_credit for f in faces] == [f.rr_credit for f in ref_faces]
+        if rng is not None:
+            assert rng.getstate() == ref_rng.getstate()
+        faces[i].pending += 1  # as run() dispatches the Interest
+        ref_faces[i].pending += 1
 
 
 def test_case_budget_is_at_least_one_thousand():
