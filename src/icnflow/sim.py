@@ -13,6 +13,12 @@ strategy picks the face for every Interest individually.
 Losses are signaled either at the drop instant ("oracle-immediate", the
 default) or by a retransmission timer ("timeout").  Loss counters count
 detections; under the oracle signal these coincide with the physical drops.
+
+Each Interest's fate is settled when it is sent.  A face's Interests reach
+its bottleneck in send order (one fixed delay per face, and send times never
+decrease), so the FIFO can be run for each one at once, at its arrival
+instant; the Interest then costs one heap event: its Data's return, or the
+loss detection.  Only Data that returns at or after its timer costs two.
 """
 
 from __future__ import annotations
@@ -38,10 +44,17 @@ _RTO_FACTOR = 2.0
 # Learned capacity after a loss: keep this fraction of what was in flight.
 _EST_GUARD = 0.75
 
-# Event kinds, ordered only by (time, insertion seq) in the heap.
-_EV_QUEUE = 0    # Interest reached the path bottleneck; Data enters the FIFO
-_EV_DATA = 1     # Data reached the receiver
-_EV_TIMEOUT = 2  # retransmission timer fired
+# Event kinds.  Heap entries are (time, sched, cause, seq, kind, face, chunk).
+# Equal times are ordered as an engine that also ran each bottleneck arrival
+# as an event, ordering its heap by (time, push order), orders them: `sched`
+# is the instant that engine pushes the event (the bottleneck arrival for
+# Data, the send instant for a loss), `cause` is the `sched` of the event it
+# handles then (for Data the send instant, also the RTT origin), and `seq` is
+# push order here.  Only ties that also reach back past `cause` can come out
+# in another order.
+_EV_DATA = 0  # Data reached the receiver (before its timer, if any)
+_EV_LOSS = 1  # loss detected: dropped at the bottleneck (oracle) or timer fired
+_EV_LATE = 2  # Data reached the receiver at or after its timer
 
 
 @dataclass(frozen=True)
@@ -247,8 +260,8 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     """Simulate one transfer and return its delivery statistics.
 
     Identical (scenario, strategy, config) always produce an identical
-    result: the event queue is ordered by (time, insertion sequence) and the
-    only randomness is the seeded tie-breaker.
+    result: the event queue is totally ordered (see the `_EV_*` kinds) and
+    the only randomness is the seeded tie-breaker.
     """
     problems = validate(scenario) + validate_config(config)
     if problems:
@@ -266,8 +279,8 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     est_mode = config.fpf_capacity_mode == FPF_CAP_ESTIMATED
     choose = _selector(strategy, faces, scenario, config, rng)
 
-    # Per-face bottleneck: finish times of the Data messages it still holds
-    # (head is in transmission, the rest wait in the buffer).
+    # Per-face bottleneck: finish times of the Data messages it holds (head
+    # in transmission, the rest in the buffer) as of the last arrival there.
     queues = [deque() for _ in range(n)]
 
     heap = []
@@ -293,7 +306,6 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     absorb_until = -1.0     # drops before this instant share one halving
     fallback_absorb = 2.0 * max(delays)
     trace = [(0.0, cur_w)] if config.trace_window else None
-    live = set() if not oracle_loss else None  # outstanding Interest instances
 
     def note_window(now):
         nonlocal cur_w, max_w
@@ -305,7 +317,7 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
             if trace is not None:
                 trace.append((now, w))
 
-    def dispatch(now):
+    def dispatch(now, cause):
         nonlocal seq, in_flight, next_chunk
         while in_flight < cur_w:
             if retx:
@@ -322,17 +334,34 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
                 max_pending[i] = f.pending
             in_flight += 1
             per_sent[i] += 1
-            inst = seq
-            push(heap, (now + delays[i], seq, _EV_QUEUE, i, chunk, now, inst))
-            seq += 1
+            # Run the bottleneck FIFO now, at the instant t the Interest
+            # reaches it: it holds exactly what it will hold then.
+            t = now + delays[i]
+            q = queues[i]
+            while q and q[0] <= t:  # finished transmissions free their slot first
+                q.popleft()
             if not oracle_loss:
-                live.add(inst)
-                rto = _RTO_FACTOR * (r_srtt if r_srtt is not None
-                                     else fallback_absorb + svc[i])
-                push(heap, (now + rto, seq, _EV_TIMEOUT, i, chunk, now, inst))
-                seq += 1
+                timer = now + _RTO_FACTOR * (r_srtt if r_srtt is not None
+                                             else fallback_absorb + svc[i])
+            if q and len(q) >= bufs[i]:
+                # Buffer full: drop-tail.  The message in transmission still
+                # holds its slot until it finishes, so a path sustains at most
+                # 2·delay·rate + buffer in flight, the pipeline capacity.
+                push(heap, (t if oracle_loss else timer, now, cause, seq,
+                            _EV_LOSS, i, chunk))
+            else:
+                fin = (q[-1] if q else t) + svc[i]
+                q.append(fin)
+                back = fin + delays[i]
+                if not oracle_loss and back >= timer:
+                    push(heap, (timer, now, cause, seq, _EV_LOSS, i, chunk))
+                    seq += 1
+                    push(heap, (back, t, now, seq, _EV_LATE, i, chunk))
+                else:
+                    push(heap, (back, t, now, seq, _EV_DATA, i, chunk))
+            seq += 1
 
-    def register_loss(now, i, chunk):
+    def register_loss(now, cause, i, chunk):
         nonlocal losses, in_flight, wnd
         losses += 1
         loss_times.append(now)
@@ -345,7 +374,7 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
         retx.appendleft(chunk)
         if now >= absorb_until:
             _halve(now)
-        dispatch(now)
+        dispatch(now, cause)
 
     def _halve(now):
         nonlocal wnd, absorb_until
@@ -353,58 +382,22 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
         absorb_until = now + (r_srtt if r_srtt is not None else fallback_absorb)
         note_window(now)
 
-    dispatch(0.0)
+    dispatch(0.0, 0.0)
     end = config.duration  # None while running to a chunk target
     now = 0.0
 
     while heap:
-        ev = pop(heap)
-        t = ev[0]
+        t, sched, sent, _, kind, i, chunk = pop(heap)
         if end is not None and t > end:
-            now = end
             break
         now = t
-        kind = ev[2]
-        if kind == _EV_QUEUE:
-            i = ev[3]
-            q = queues[i]
-            while q and q[0] <= t:  # finished transmissions free their slot first
-                q.popleft()
-            if not q:
-                fin = t + svc[i]
-            elif len(q) >= bufs[i]:
-                # Buffer full: drop-tail.  The message in transmission still
-                # holds its slot until it finishes, so a path sustains at most
-                # 2·delay·rate + buffer in flight, the pipeline capacity.
-                if oracle_loss:
-                    register_loss(t, i, ev[4])
-                # under the timeout signal the loss stays silent until the
-                # timer fires
-                continue
-            else:
-                fin = q[-1] + svc[i]
-            q.append(fin)
-            push(heap, (fin + delays[i], seq, _EV_DATA, i, ev[4], ev[5], ev[6]))
-            seq += 1
-        elif kind == _EV_DATA:
-            i = ev[3]
-            if not oracle_loss:
-                if ev[6] in live:
-                    live.discard(ev[6])
-                else:
-                    # written off by its timer; the late Data still counts as
-                    # a delivery but its Interest was already released
-                    delivered += 1
-                    per_del[i] += 1
-                    if total is not None and delivered >= total:
-                        break
-                    continue
+        if kind == _EV_DATA:
             f = faces[i]
             f.pending -= 1
             in_flight -= 1
             delivered += 1
             per_del[i] += 1
-            sample = t - ev[5]
+            sample = t - sent
             f.srtt = sample if f.srtt is None else \
                 f.srtt + alpha * (sample - f.srtt)
             r_srtt = sample if r_srtt is None else \
@@ -413,11 +406,14 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
             note_window(t)
             if total is not None and delivered >= total:
                 break
-            dispatch(t)
-        else:  # _EV_TIMEOUT
-            if ev[6] in live:
-                live.discard(ev[6])
-                register_loss(t, ev[3], ev[4])
+            dispatch(t, sched)
+        elif kind == _EV_LOSS:
+            register_loss(t, sched, i, chunk)
+        else:  # _EV_LATE: the Interest was written off, the Data still counts
+            delivered += 1
+            per_del[i] += 1
+            if total is not None and delivered >= total:
+                break
 
     elapsed = config.duration if config.duration is not None else now
     rate = delivered / elapsed

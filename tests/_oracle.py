@@ -8,7 +8,10 @@ results.  Paths are (delay_s, rate_bps, buffer_msgs) triples.
 
 from __future__ import annotations
 
+import heapq
 import math
+import random
+from collections import deque
 
 
 def ref_msg_rate(rate_bps, msg_bytes):
@@ -149,3 +152,166 @@ def ref_select_face(token, faces, paths, msg_bytes, caps, rng):
     return _ref_pick(pool, [(max(2.0 * paths[i][0],
                                  faces[i].pending / rates[i]),
                              faces[i].pending) for i in pool], rng)
+
+
+# --------------------------------------------------------------------------
+# the simulator, with the bottleneck arrival, the Data return and the timer
+# of every Interest each a heap event of its own
+
+class RefFace:
+    def __init__(self):
+        self.pending = 0
+        self.srtt = None
+        self.rr_credit = 0.0
+        self.est_capacity = None
+
+
+def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
+            total_chunks=None, initial_window=1, seed=0,
+            loss_signal="oracle-immediate", fpf_caps="oracle", alpha=0.125,
+            trace_window=False):
+    """One transfer, as a dict of the simulator's result fields.
+
+    Every Interest is up to three heap events, ordered by (time, insertion
+    seq): it reaches the bottleneck, its Data reaches the receiver and, under
+    the "timeout" loss signal, its retransmission timer fires, which does
+    nothing once the Data is back.  `fpf_caps` is "oracle" or "estimated";
+    a nonzero `seed` breaks exact ties at random.
+    """
+    n = len(paths)
+    delays = [d for (d, _, _) in paths]
+    svc = [8.0 * msg_bytes / r for (_, r, _) in paths]
+    bufs = [b for (_, _, b) in paths]
+    rates = _rates(paths, msg_bytes)
+    caps = None
+    if token == "fpf" and fpf_caps == "oracle":
+        caps = [math.floor(2.0 * d * rates[i] + b + 1e-9)
+                for i, (d, _, b) in enumerate(paths)]
+    faces = [RefFace() for _ in range(n)]
+    rng = random.Random(seed) if seed != 0 else None
+    timeout = loss_signal == "timeout"
+    queues = [deque() for _ in range(n)]
+    heap = []
+    seq = 0
+    wnd = float(initial_window)
+    cur_w = max_w = int(wnd)
+    in_flight = next_chunk = delivered = losses = 0
+    retx = deque()
+    per_del, per_sent, per_drop, max_pending = [0] * n, [0] * n, [0] * n, [0] * n
+    loss_times = []
+    r_srtt = None
+    absorb_until = -1.0
+    fallback = 2.0 * max(delays)
+    trace = [(0.0, cur_w)] if trace_window else None
+    live = set()
+
+    def note_window(now):
+        nonlocal cur_w, max_w
+        w = int(wnd)
+        if w != cur_w:
+            cur_w = w
+            max_w = max(max_w, w)
+            if trace is not None:
+                trace.append((now, w))
+
+    def dispatch(now):
+        nonlocal seq, in_flight, next_chunk
+        while in_flight < cur_w:
+            if retx:
+                chunk = retx.popleft()
+            elif total_chunks is None or next_chunk < total_chunks:
+                chunk = next_chunk
+                next_chunk += 1
+            else:
+                return
+            i = ref_select_face(token, faces, paths, msg_bytes, caps, rng)
+            faces[i].pending += 1
+            max_pending[i] = max(max_pending[i], faces[i].pending)
+            in_flight += 1
+            per_sent[i] += 1
+            inst = seq
+            heapq.heappush(heap, (now + delays[i], seq, "queue", i, chunk,
+                                  now, inst))
+            seq += 1
+            if timeout:
+                live.add(inst)
+                rto = 2.0 * (r_srtt if r_srtt is not None
+                             else fallback + svc[i])
+                heapq.heappush(heap, (now + rto, seq, "timeout", i, chunk,
+                                      now, inst))
+                seq += 1
+
+    def register_loss(now, i, chunk):
+        nonlocal losses, in_flight, wnd, absorb_until
+        losses += 1
+        loss_times.append(now)
+        per_drop[i] += 1
+        if fpf_caps == "estimated":
+            faces[i].est_capacity = 0.75 * faces[i].pending
+        faces[i].pending -= 1
+        in_flight -= 1
+        retx.appendleft(chunk)
+        if now >= absorb_until:
+            wnd = float(max(1, int(wnd / 2.0)))
+            absorb_until = now + (r_srtt if r_srtt is not None else fallback)
+            note_window(now)
+        dispatch(now)
+
+    dispatch(0.0)
+    now = 0.0
+    while heap:
+        t, _, kind, i, chunk, sent, inst = heapq.heappop(heap)
+        if duration is not None and t > duration:
+            break
+        now = t
+        if kind == "queue":
+            q = queues[i]
+            while q and q[0] <= t:
+                q.popleft()
+            if q and len(q) >= bufs[i]:
+                if not timeout:
+                    register_loss(t, i, chunk)
+                continue
+            fin = (q[-1] if q else t) + svc[i]
+            q.append(fin)
+            heapq.heappush(heap, (fin + delays[i], seq, "data", i, chunk,
+                                  sent, inst))
+            seq += 1
+        elif kind == "data":
+            if timeout and inst not in live:
+                delivered += 1  # late Data of a written-off Interest
+                per_del[i] += 1
+                if total_chunks is not None and delivered >= total_chunks:
+                    break
+                continue
+            live.discard(inst)
+            f = faces[i]
+            f.pending -= 1
+            in_flight -= 1
+            delivered += 1
+            per_del[i] += 1
+            sample = t - sent
+            f.srtt = sample if f.srtt is None else \
+                f.srtt + alpha * (sample - f.srtt)
+            r_srtt = sample if r_srtt is None else \
+                r_srtt + alpha * (sample - r_srtt)
+            wnd += 1.0 / wnd
+            note_window(t)
+            if total_chunks is not None and delivered >= total_chunks:
+                break
+            dispatch(t)
+        elif inst in live:
+            live.discard(inst)
+            register_loss(t, i, chunk)
+
+    elapsed = duration if duration is not None else now
+    rate = delivered / elapsed
+    return dict(
+        delivered_msgs=delivered, elapsed=elapsed, rate_msgs_per_s=rate,
+        gross_bps=rate * 8.0 * msg_bytes, net_bps=rate * 8.0 * payload_bytes,
+        losses=losses, loss_times=tuple(loss_times),
+        per_face_delivered=tuple(per_del), per_face_sent=tuple(per_sent),
+        per_face_dropped=tuple(per_drop),
+        per_face_inflight=tuple(f.pending for f in faces),
+        per_face_max_pending=tuple(max_pending), max_window=max_w,
+        window_trace=tuple(trace) if trace is not None else None)

@@ -230,6 +230,18 @@ _PINNED_SHA256 = {
         "4525a9d3e91f59af905f6b90b02dee508ba23a0f303e23b2e1fc6eb64657546a",
     "wide-window-fpf.csv":
         "a925651fa5311a8a81d94cde456a57a2e1af619bf67e15020524dcbabbfc9ff2",
+    "ties-oracle-rates.csv":
+        "0dc4c5bf858ccbb4af7397d45dfd01226e81c4a03f1afcb72d07ee5e22d5eed7",
+    "ties-oracle-window-ug.csv":
+        "312fafe04776577ece7c6375f1cc737b44f6bab0b48724599963e139071d2488",
+    "ties-oracle-window-cf.csv":
+        "e341de978fa0965ae61490b670ee851b34cce8a3013525e094893ccec1816dfc",
+    "ties-timeout-rates.csv":
+        "2ce0a06e081578bc6bd68676442eab533e143dbb0f97efefda9f7814e6d3add1",
+    "ties-timeout-window-ug.csv":
+        "a1fcd69486a1b0a816d0f5d67bdfbf065003bb2d89fc7436315d6e09e070758d",
+    "ties-timeout-window-cf.csv":
+        "62b4c9c736f5e01f6fa6dafbfc6930ff5af88b95089e03a5bfece4b428cad27d",
 }
 
 
@@ -276,6 +288,25 @@ class TestPinnedOutput:
             str(tmp_path / "wide"))) == 0
         for name in sorted(_PINNED_SHA256):
             if name.startswith("wide-"):
+                assert _sha256(tmp_path / name) == _PINNED_SHA256[name], name
+
+    def test_runs_with_equal_time_events_are_pinned(self, tmp_path):
+        # Round delays and rates put Data returns, drops and timers at
+        # exactly equal times, so the order of equal-time events shows in the
+        # output; ordering them by time and push order alone changes these.
+        scenario = Scenario((PathSpec(0.020, 5e6, 3), PathSpec(0.010, 10e6, 1),
+                             PathSpec(0.020, 10e6, 8), PathSpec(0.005, 5e6, 9)))
+        for prefix, sim in (
+                ("ties-oracle", SimConfig(duration=3.0, seed=3,
+                                          trace_window=True)),
+                ("ties-timeout", SimConfig(total_chunks=2000, seed=0,
+                                           loss_signal=LOSS_TIMEOUT,
+                                           trace_window=True))):
+            assert run_experiment(ExperimentSpec(
+                scenario, (StrategyId.UG, StrategyId.CF), "sim", None, sim,
+                str(tmp_path / prefix))) == 0
+        for name in sorted(_PINNED_SHA256):
+            if name.startswith("ties-"):
                 assert _sha256(tmp_path / name) == _PINNED_SHA256[name], name
 
 

@@ -7,15 +7,15 @@ checks their sum, so keep new entries in the dict.
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from hypothesis import given, settings, strategies as st
 
 import _oracle
-from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, PathSpec, Scenario,
-                     SimConfig, StrategyId, cycle, pipeline_capacity,
-                     rate_msgs, rtt, run, share_fpf, share_pe, share_re,
-                     share_ug, sharing_function, wmax)
+from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
+                     LOSS_TIMEOUT, PathSpec, Scenario, SimConfig, StrategyId,
+                     cycle, pipeline_capacity, rate_msgs, rtt, run, share_fpf,
+                     share_pe, share_re, share_ug, sharing_function, wmax)
 from icnflow.sim import FaceState, _selector
 
 EXAMPLES = {
@@ -28,6 +28,7 @@ EXAMPLES = {
     "sim_conservation": 30,
     "sim_determinism": 20,
     "selector_differential": 400,
+    "engine_differential": 300,
 }
 
 # --------------------------------------------------------------------------
@@ -206,6 +207,38 @@ def test_face_selector_matches_the_key_list_reference(pool, data, strat,
             assert rng.getstate() == ref_rng.getstate()
         faces[i].pending += 1  # as run() dispatches the Interest
         ref_faces[i].pending += 1
+
+
+# Paths drawn from a small pool of round delays and rates put many events at
+# equal times; a 1250-byte message makes service times round too (1 ms at
+# 10 Mbit/s), so FIFO finish times line up with propagation delays.
+_ROUND_PATH = st.tuples(st.sampled_from([0.001, 0.002, 0.004, 0.01]),
+                        st.sampled_from([5e6, 10e6]), st.integers(0, 10))
+_STOP = st.one_of(
+    st.builds(lambda s: {"duration": s}, st.sampled_from([0.25, 1.0, 2.0])),
+    st.builds(lambda c: {"total_chunks": c}, st.integers(1, 600)))
+
+
+@settings(max_examples=EXAMPLES["engine_differential"], deadline=None,
+          derandomize=True)
+@given(st.lists(_ROUND_PATH, min_size=1, max_size=5),
+       st.sampled_from([4876, 1250]), ALL_STRATEGIES,
+       st.sampled_from([LOSS_ORACLE, LOSS_TIMEOUT]),
+       st.sampled_from([FPF_CAP_ORACLE, FPF_CAP_ESTIMATED]),
+       st.one_of(st.just(0), st.integers(1, 2**32)), st.sampled_from([1, 8]),
+       _STOP)
+def test_simulator_matches_the_three_event_reference(
+        paths, msg_bytes, strat, loss, cap_mode, seed, window, stop):
+    # 780 header bytes per message, as in the default 4876/4096 split
+    scen = Scenario(tuple(PathSpec(*p) for p in paths), msg_bytes,
+                    msg_bytes - 780)
+    got = run(scen, strat, SimConfig(
+        initial_window=window, seed=seed, loss_signal=loss,
+        fpf_capacity_mode=cap_mode, trace_window=True, **stop))
+    assert asdict(got) == _oracle.ref_run(
+        paths, msg_bytes, scen.payload_bytes, strat.token,
+        initial_window=window, seed=seed, loss_signal=loss,
+        fpf_caps=cap_mode, trace_window=True, **stop)
 
 
 def test_case_budget_is_at_least_one_thousand():
