@@ -198,6 +198,10 @@ def load_experiment(path: str) -> ExperimentSpec:
         if paths and not 0 <= p_idx < len(paths):
             problems.append(f"sweep.path {p_idx} out of range (have {len(paths)} paths)")
             ok = False
+        for key, value in (("from", start), ("to", stop), ("step", step)):
+            if not math.isfinite(value):
+                problems.append(f"sweep.{key} must be finite, got {value}")
+                ok = False
         if step <= 0:
             problems.append(f"sweep.step must be > 0, got {step}")
             ok = False
@@ -272,7 +276,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
                                  _fmt(cs.y_gross_bps / 1e6),
                                  _fmt(cs.y_net_bps / 1e6),
                                  str(cs.w_max)])
-                except ModelError as exc:
+                except (ModelError, ValueError) as exc:
                     failures.append(f"model/{strat.token} at {tag or 'base'}: {exc}")
             if spec.mode in ("sim", "both"):
                 try:

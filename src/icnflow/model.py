@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Scenario, SharingVector, StrategyId, pipeline_capacity,
-                   rate_msgs, rtt)
+                   rate_msgs, rtt, validate)
 from .sharing import sharing_function
 
 # Slack for the real-valued sharing functions when checked against integer
@@ -53,8 +53,12 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
     """Largest window whose sharing stays within every pipeline capacity.
 
     Exponential probing then bisection; allocations only grow with the
-    window, so feasibility is monotone and the bracket is sound.
+    window, so feasibility is monotone and the bracket is sound.  Raises
+    ValueError for a scenario that core.validate() rejects.
     """
+    problems = validate(scenario)
+    if problems:
+        raise ValueError("; ".join(problems))
     share = sharing_function(strategy)
     caps = [pipeline_capacity(p, rate_msgs(scenario, i))
             for i, p in enumerate(scenario.paths)]

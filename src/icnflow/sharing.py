@@ -2,17 +2,19 @@
 
 Each strategy maps a window size H to the average number of pending Interests
 it keeps on every path.  pe/ug are closed-form and real-valued; re/cf/fpf
-place one Interest at a time and return whole-number allocations.  All of
-them satisfy sum(per_path) == H and per_path >= 0, and allocations only grow
-with H.
+place one Interest at a time and return whole-number allocations.  re and fpf
+replay the simulator's own face picker, so the model and the simulator share
+one rule; cf keeps the model's least pending/sqrt(RTT) rule, because the
+simulator's cf is a stride over 1/pending.  All of them satisfy
+sum(per_path) == H and per_path >= 0, and allocations only grow with H.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import (Scenario, SharingVector, StrategyId, pipeline_capacity,
-                   rate_msgs, rtt)
+from .core import Scenario, SharingVector, StrategyId, rate_msgs, rtt
+from .sim import FaceState, SimConfig, _selector
 
 
 def _even_split(scenario: Scenario, total: int) -> SharingVector:
@@ -31,54 +33,41 @@ def share_ug(scenario: Scenario, total: int) -> SharingVector:
     return _even_split(scenario, total)
 
 
-def _greedy(scenario, total, metric, caps=None):
-    # One Interest at a time to the face with the least metric.  Ties fall to
-    # the least-loaded then lowest-indexed path so identical paths stay
-    # balanced instead of piling onto path 0.
-    n = len(scenario.paths)
-    rates = [rate_msgs(scenario, i) for i in range(n)]
-    pending = [0] * n
+def _replay(scenario: Scenario, total: int, strategy: StrategyId):
+    # The first `total` dispatches the simulator makes before any Data comes
+    # back: its own face picker, oracle caps, lowest-index ties.
+    faces = [FaceState() for _ in scenario.paths]
+    pick = _selector(strategy, faces, scenario, SimConfig(), None)
     for _ in range(total):
-        best = -1
-        best_key = None
-        for i in range(n):
-            if caps is not None and pending[i] >= caps[i]:
-                continue
-            key = (metric(i, pending[i], rates[i]), pending[i], i)
-            if best < 0 or key < best_key:
-                best, best_key = i, key
-        if best < 0:
-            # every path is at capacity: overflow onto the quickest one
-            best = min(range(n), key=lambda i: (
-                rtt(scenario.paths[i], pending[i], rates[i]), pending[i], i))
-        pending[best] += 1
-    return SharingVector(total, tuple(float(p) for p in pending))
+        faces[pick()].pending += 1
+    return SharingVector(total, tuple(float(f.pending) for f in faces))
 
 
 def share_re(scenario: Scenario, total: int) -> SharingVector:
     """RTT equalization: each Interest goes to the path that currently
     answers fastest, which levels the per-path round-trip times."""
-    paths = scenario.paths
-    return _greedy(scenario, total, lambda i, p, r: rtt(paths[i], p, r))
+    return _replay(scenario, total, StrategyId.RE)
 
 
 def share_cf(scenario: Scenario, total: int) -> SharingVector:
     """Each Interest goes to the path with the least pending count scaled by
-    the square root of its RTT; an empty path is always taken first."""
+    the square root of its RTT; an empty path is always taken first.  Ties
+    fall to the least-loaded then lowest-indexed path."""
     paths = scenario.paths
-    return _greedy(scenario, total,
-                   lambda i, p, r: p / math.sqrt(rtt(paths[i], p, r)))
+    rates = [rate_msgs(scenario, i) for i in range(len(paths))]
+    pending = [0] * len(paths)
+    for _ in range(total):
+        keys = [(p / math.sqrt(rtt(path, p, r)), p, i)
+                for i, (path, p, r) in enumerate(zip(paths, pending, rates))]
+        pending[min(keys)[2]] += 1
+    return SharingVector(total, tuple(float(p) for p in pending))
 
 
 def share_fpf(scenario: Scenario, total: int) -> SharingVector:
     """Fastest pipeline first: like share_re, but a path stops accepting once
     its pipeline capacity is full.  Past the point where every pipeline is
     full the remainder lands on the quickest path regardless."""
-    paths = scenario.paths
-    caps = [pipeline_capacity(p, rate_msgs(scenario, i))
-            for i, p in enumerate(paths)]
-    return _greedy(scenario, total, lambda i, p, r: rtt(paths[i], p, r),
-                   caps=caps)
+    return _replay(scenario, total, StrategyId.FPF)
 
 
 _SHARING = {

@@ -203,8 +203,8 @@ def _selector(strategy: StrategyId, faces, scenario: Scenario,
     # ties, so identical paths interleave instead of piling onto one face.
     # The round trip is core.rtt, queue-aware: the propagation floor or the
     # time the current backlog needs to drain, whichever dominates.
-    # Matching the per-Interest decisions to this quantity is what makes
-    # the simulated splits track the analytical allocation point for point.
+    # sharing.share_re/share_fpf replay this picker, so the model's
+    # allocations are the simulator's own first dispatches.
     estimated = config.fpf_capacity_mode == FPF_CAP_ESTIMATED
     oracle = strategy is StrategyId.FPF and not estimated
     rates = [rate_msgs(scenario, i) for i, _ in lanes]

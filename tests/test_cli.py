@@ -310,6 +310,11 @@ class TestPinnedOutput:
                 assert _sha256(tmp_path / name) == _PINNED_SHA256[name], name
 
 
+_SWEEP = ("path.delay_ms = 20\npath.rate_mbps = 10\nsweep.path = 0\n"
+          "sweep.param = delay_ms\nsweep.from = {}\nsweep.to = {}\n"
+          "sweep.step = {}\n")
+
+
 class TestMain:
     def test_usage_error_is_exit_1(self, capsys):
         assert main([]) == 1
@@ -325,14 +330,18 @@ class TestMain:
 
     def test_infinite_values_are_exit_2(self, tmp_path, capsys):
         # These used to reach the engines: an infinite delay or rate raised a
-        # raw OverflowError (exit 3, no CSV), an infinite duration never ended.
+        # raw OverflowError (exit 3, no CSV), an infinite duration never ended,
+        # and a NaN or infinite sweep bound failed to count the sweep points.
         for key, line in (("delay", "path.delay_ms = inf\n"
                                     "path.rate_mbps = 10\n"),
                           ("rate", "path.delay_ms = 20\n"
                                    "path.rate_mbps = inf\n"),
                           ("duration", "path.delay_ms = 20\n"
                                        "path.rate_mbps = 10\n"
-                                       "sim.duration_s = inf\n")):
+                                       "sim.duration_s = inf\n"),
+                          ("from", _SWEEP.format("nan", "40", "10")),
+                          ("to", _SWEEP.format("20", "inf", "10")),
+                          ("step", _SWEEP.format("20", "40", "nan"))):
             path = _write(tmp_path, line + "path.buffer_msgs = 20\n"
                                            "strategies = pe\n"
                                            f"output = {tmp_path / key}\n")
@@ -344,6 +353,25 @@ class TestMain:
     def test_sweep_command_needs_a_sweep_section(self, tmp_path):
         path = _write(tmp_path, MINIMAL.format(out=tmp_path / "x"))
         assert main(["sweep", "--experiment", path]) == 2
+
+    def test_invalid_model_point_is_exit_3_with_the_other_rows(
+            self, tmp_path, capsys):
+        # Rate 0 is no scenario at all: the model reports validate()'s
+        # problem for that point and the valid points still get their rows.
+        path = _write(tmp_path,
+                      "path.delay_ms = 20\npath.rate_mbps = 10\n"
+                      "path.buffer_msgs = 20\n"
+                      "strategies = pe\nmode = model\n"
+                      "sweep.path = 0\nsweep.param = rate_mbps\n"
+                      "sweep.from = 0\nsweep.to = 4\nsweep.step = 2\n"
+                      f"output = {tmp_path / 'rate'}\n")
+        assert main(["sweep", "--experiment", path]) == 3
+        err = capsys.readouterr().err
+        assert "model/pe at 0: path 0: rate_bps" in err
+        with open(tmp_path / "rate-rates.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], r[2]) for r in rows] == [("2", "model"),
+                                                ("4", "model")]
 
     def test_per_point_model_failure_is_exit_3(self, tmp_path, capsys):
         path = _write(tmp_path,

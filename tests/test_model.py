@@ -100,6 +100,12 @@ class TestCycle:
         assert cs.y_net_bps / cs.y_msgs_per_s == pytest.approx(8 * 4096,
                                                                rel=1e-12)
 
+    def test_invalid_scenario_is_a_value_error(self):
+        # As in run(): core.validate()'s problems, not a division by zero.
+        stopped = scenario_with(TWO_PATH, 1, "rate", 0.0)
+        with pytest.raises(ValueError, match="path 1: rate_bps"):
+            cycle(stopped, StrategyId.PE)
+
     def test_asymmetric_delay_ordering(self):
         rates = {s: cycle(TWO_PATH, s).y_msgs_per_s for s in StrategyId}
         assert (rates[StrategyId.FPF] > rates[StrategyId.CF]

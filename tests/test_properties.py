@@ -9,7 +9,7 @@ import math
 import random
 from dataclasses import asdict, replace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import _oracle
 from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
@@ -24,6 +24,7 @@ EXAMPLES = {
     "capacity_respect": 200,
     "identical_paths": 150,
     "round_robin_identity": 100,
+    "allocation_differential": 300,
     "cycle_identities": 100,
     "sim_conservation": 30,
     "sim_determinism": 20,
@@ -104,6 +105,31 @@ def test_identical_paths_share_within_one_unit(path, n, strat, h):
 @given(_scenario(), TOTALS)
 def test_round_robin_closed_form_equals_even_split(scen, h):
     assert share_ug(scen, h).per_path == share_pe(scen, h).per_path
+
+
+# Paths drawn from a small pool make exact key ties common; totals run past
+# every pipeline capacity, so fpf's spill-over is exercised too.
+_POOL_PATH = st.builds(PathSpec, st.sampled_from([0.005, 0.02, 0.12]),
+                       st.sampled_from([2e6, 10e6, 25e6]), st.integers(0, 20))
+
+
+@settings(max_examples=EXAMPLES["allocation_differential"], deadline=None,
+          derandomize=True)
+@given(st.lists(_POOL_PATH, min_size=1, max_size=4), st.data(),
+       st.sampled_from([4876, 1250]), ALL_STRATEGIES, st.integers(0, 400))
+def test_allocations_match_the_reference_loop(pool, data, msg_bytes, strat, h):
+    scen = Scenario(tuple(pool[k] for k in data.draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=1, max_size=6))), msg_bytes,
+        msg_bytes - 780)
+    paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
+    # The reference floors capacities without core's float-dust slack.
+    rates = [_oracle.ref_msg_rate(r, msg_bytes) for _, r, _ in paths]
+    assume([_oracle.ref_capacity(d, rates[i], b)
+            for i, (d, _, b) in enumerate(paths)]
+           == [pipeline_capacity(p, rate_msgs(scen, i))
+               for i, p in enumerate(scen.paths)])
+    got = sharing_function(strat)(scen, h).per_path
+    assert list(got) == _oracle.ref_share(paths, msg_bytes, strat.token, h)
 
 
 # --------------------------------------------------------------------------
