@@ -368,7 +368,7 @@ def main(argv=None) -> int:
 
     try:
         spec = load_experiment(args.experiment)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read experiment: {exc}", file=sys.stderr)
         return 2
     except ExperimentError as exc:

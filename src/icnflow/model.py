@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 from .core import (Scenario, SharingVector, StrategyId, pipeline_capacity,
                    rate_msgs, rtt, validate)
-from .sharing import sharing_function
-
-# Slack for the real-valued sharing functions when checked against integer
-# capacities; whole-number allocations compare exactly.
-_FEAS_EPS = 1e-9
+from .sharing import placements, sharing_function
 
 # A window past this is a misconfigured scenario (runaway buffer or rate),
 # not a workload worth modeling.
@@ -52,41 +48,34 @@ class CycleStats:
 def wmax(scenario: Scenario, strategy: StrategyId) -> int:
     """Largest window whose sharing stays within every pipeline capacity.
 
-    Exponential probing then bisection; allocations only grow with the
-    window, so feasibility is monotone and the bracket is sound.  Raises
-    ValueError for a scenario that core.validate() rejects.
+    pe/ug: n*min(C), exact because the caps are integers ((n*c)/n == c).
+    re/cf/fpf: window w's allocation is the first w steps of one placement
+    process, so one walk stops at its first overflow; w_max is the step
+    before it.  Raises ValueError for a scenario core.validate() rejects.
     """
     problems = validate(scenario)
     if problems:
         raise ValueError("; ".join(problems))
-    share = sharing_function(strategy)
     caps = [pipeline_capacity(p, rate_msgs(scenario, i))
             for i, p in enumerate(scenario.paths)]
-    n = len(caps)
-
-    def fits(w):
-        per = share(scenario, w).per_path
-        return all(per[i] <= caps[i] + _FEAS_EPS for i in range(n))
-
-    if not fits(1):
+    if strategy in (StrategyId.PE, StrategyId.UG):
+        w_hi = len(caps) * min(caps)
+    else:
+        w_hi = -1  # the last window that fit, as the walk goes
+        for faces in placements(scenario, strategy):
+            if w_hi > _SEARCH_CAP or any(
+                    f.pending > c for f, c in zip(faces, caps)):
+                break
+            w_hi += 1
+    if w_hi < 1:
         raise ModelError(
             "no feasible window: a single pending Interest already "
             "overflows a path")
-    lo, hi = 1, 2
-    while fits(hi):
-        lo = hi
-        hi *= 2
-        if hi > _SEARCH_CAP:
-            raise ModelError(
-                f"no window bound found below {_SEARCH_CAP}; "
-                "path capacities look unbounded")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if w_hi > _SEARCH_CAP:
+        raise ModelError(
+            f"no window bound found below {_SEARCH_CAP}; "
+            "path capacities look unbounded")
+    return w_hi
 
 
 def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:

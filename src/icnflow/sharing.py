@@ -1,17 +1,18 @@
 """Sharing functions: long-run per-path allocation of a window of Interests.
 
 Each strategy maps a window size H to the average number of pending Interests
-it keeps on every path.  pe/ug are closed-form and real-valued; re/cf/fpf
-place one Interest at a time and return whole-number allocations.  re and fpf
-replay the simulator's own face picker, so the model and the simulator share
-one rule; cf keeps the model's least pending/sqrt(RTT) rule, because the
-simulator's cf is a stride over 1/pending.  All of them satisfy
+it keeps on every path.  pe/ug are closed-form and real-valued.  re/cf/fpf
+each have one placement process that puts one Interest at a time on a path,
+and their allocation is its first H steps.  re and fpf replay the simulator's
+own face picker; cf keeps the model's least pending/sqrt(RTT) rule, because
+the simulator's cf is a stride over 1/pending.  All of them satisfy
 sum(per_path) == H and per_path >= 0, and allocations only grow with H.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .core import Scenario, SharingVector, StrategyId, rate_msgs, rtt
 from .sim import FaceState, SimConfig, _selector
@@ -33,41 +34,50 @@ def share_ug(scenario: Scenario, total: int) -> SharingVector:
     return _even_split(scenario, total)
 
 
-def _replay(scenario: Scenario, total: int, strategy: StrategyId):
-    # The first `total` dispatches the simulator makes before any Data comes
-    # back: its own face picker, oracle caps, lowest-index ties.
+def placements(scenario: Scenario, strategy: StrategyId):
+    """The re, cf or fpf placement process: yields the live per-path
+    FaceState list (the same list each time, not a copy) before the first
+    Interest and after each one, so item k is the state after k Interests."""
     faces = [FaceState() for _ in scenario.paths]
-    pick = _selector(strategy, faces, scenario, SimConfig(), None)
-    for _ in range(total):
+    if strategy is StrategyId.CF:
+        lanes = [(i, p, f, rate_msgs(scenario, i))
+                 for i, (p, f) in enumerate(zip(scenario.paths, faces))]
+
+        def pick():
+            return min([(f.pending / math.sqrt(rtt(p, f.pending, r)),
+                         f.pending, i) for i, p, f, r in lanes])[2]
+    else:
+        # The first dispatches the simulator makes before any Data comes
+        # back: its own face picker, oracle caps, lowest-index ties.
+        pick = _selector(strategy, faces, scenario, SimConfig(), None)
+    while True:
+        yield faces
         faces[pick()].pending += 1
+
+
+def _stopped(scenario: Scenario, total: int, strategy: StrategyId):
+    faces = next(islice(placements(scenario, strategy), total, None))
     return SharingVector(total, tuple(float(f.pending) for f in faces))
 
 
 def share_re(scenario: Scenario, total: int) -> SharingVector:
     """RTT equalization: each Interest goes to the path that currently
     answers fastest, which levels the per-path round-trip times."""
-    return _replay(scenario, total, StrategyId.RE)
+    return _stopped(scenario, total, StrategyId.RE)
 
 
 def share_cf(scenario: Scenario, total: int) -> SharingVector:
     """Each Interest goes to the path with the least pending count scaled by
     the square root of its RTT; an empty path is always taken first.  Ties
     fall to the least-loaded then lowest-indexed path."""
-    paths = scenario.paths
-    rates = [rate_msgs(scenario, i) for i in range(len(paths))]
-    pending = [0] * len(paths)
-    for _ in range(total):
-        keys = [(p / math.sqrt(rtt(path, p, r)), p, i)
-                for i, (path, p, r) in enumerate(zip(paths, pending, rates))]
-        pending[min(keys)[2]] += 1
-    return SharingVector(total, tuple(float(p) for p in pending))
+    return _stopped(scenario, total, StrategyId.CF)
 
 
 def share_fpf(scenario: Scenario, total: int) -> SharingVector:
     """Fastest pipeline first: like share_re, but a path stops accepting once
     its pipeline capacity is full.  Past the point where every pipeline is
     full the remainder lands on the quickest path regardless."""
-    return _replay(scenario, total, StrategyId.FPF)
+    return _stopped(scenario, total, StrategyId.FPF)
 
 
 _SHARING = {

@@ -320,8 +320,14 @@ class TestMain:
         assert main([]) == 1
         assert main(["model"]) == 1
 
-    def test_unreadable_experiment_is_exit_2(self, tmp_path):
-        assert main(["model", "--experiment", str(tmp_path / "nope.exp")]) == 2
+    def test_unreadable_experiment_is_exit_2(self, tmp_path, capsys):
+        # A missing file, and one that is not UTF-8 (it used to end in a raw
+        # UnicodeDecodeError traceback with exit 1, the usage-error code).
+        bad = tmp_path / "bad.exp"
+        bad.write_bytes(b"path.delay_ms = 20\xff\n")
+        for path in (tmp_path / "nope.exp", bad):
+            assert main(["model", "--experiment", str(path)]) == 2
+            assert "cannot read experiment" in capsys.readouterr().err
 
     def test_invalid_experiment_is_exit_2(self, tmp_path, capsys):
         path = _write(tmp_path, "strategies = pe\n")

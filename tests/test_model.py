@@ -39,16 +39,31 @@ class TestWmax:
         assert wmax(TWO_PATH, StrategyId.UG) == 2 * min(caps)
 
     def test_no_feasible_window(self):
-        # A zero-capacity path that the even split always touches.
+        # A zero-capacity path that the even split always touches, and that
+        # re and cf pick first (shortest delay; index breaks cf's tie).  fpf
+        # skips a full path, so it fills the other one alone.
         dead = Scenario((PathSpec(0.001, 8.0 * 4876, 0),
                          PathSpec(0.020, 10e6, 20)))
-        with pytest.raises(ModelError, match="no feasible window"):
-            wmax(dead, StrategyId.PE)
+        for s in (StrategyId.PE, StrategyId.RE, StrategyId.UG, StrategyId.CF):
+            with pytest.raises(ModelError, match="no feasible window"):
+                wmax(dead, s)
+        assert wmax(dead, StrategyId.FPF) == 30
 
     def test_unbounded_capacity_is_caught(self):
         bottomless = Scenario((PathSpec(0.020, 10e6, 10 ** 9),))
         with pytest.raises(ModelError, match="unbounded"):
             wmax(bottomless, StrategyId.PE)
+
+    def test_runaway_guard_allows_a_window_up_to_the_cap(self, monkeypatch):
+        # fpf on TWO_PATH peaks at 111 and pe at 60 (see the tests above).
+        monkeypatch.setattr("icnflow.model._SEARCH_CAP", 111)
+        assert wmax(TWO_PATH, StrategyId.FPF) == 111
+        monkeypatch.setattr("icnflow.model._SEARCH_CAP", 110)
+        with pytest.raises(ModelError, match="unbounded"):
+            wmax(TWO_PATH, StrategyId.FPF)
+        monkeypatch.setattr("icnflow.model._SEARCH_CAP", 59)
+        with pytest.raises(ModelError, match="unbounded"):
+            wmax(TWO_PATH, StrategyId.PE)
 
 
 class TestCycle:

@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import _oracle
 from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
-                     LOSS_TIMEOUT, PathSpec, Scenario, SimConfig, StrategyId,
-                     cycle, pipeline_capacity, rate_msgs, rtt, run, share_fpf,
-                     share_pe, share_re, share_ug, sharing_function, wmax)
+                     LOSS_TIMEOUT, ModelError, PathSpec, Scenario, SimConfig,
+                     StrategyId, cycle, pipeline_capacity, rate_msgs, rtt, run,
+                     share_fpf, share_pe, share_re, share_ug, sharing_function,
+                     wmax)
 from icnflow.sim import FaceState, _selector
 
 EXAMPLES = {
@@ -25,6 +26,7 @@ EXAMPLES = {
     "identical_paths": 150,
     "round_robin_identity": 100,
     "allocation_differential": 300,
+    "wmax_boundary": 200,
     "cycle_identities": 100,
     "sim_conservation": 30,
     "sim_determinism": 20,
@@ -130,6 +132,29 @@ def test_allocations_match_the_reference_loop(pool, data, msg_bytes, strat, h):
                for i, p in enumerate(scen.paths)])
     got = sharing_function(strat)(scen, h).per_path
     assert list(got) == _oracle.ref_share(paths, msg_bytes, strat.token, h)
+
+
+@settings(max_examples=EXAMPLES["wmax_boundary"], deadline=None,
+          derandomize=True)
+@given(st.lists(_POOL_PATH, min_size=1, max_size=4), st.data(),
+       st.sampled_from([4876, 1250]), ALL_STRATEGIES)
+def test_wmax_is_the_last_window_that_fits(pool, data, msg_bytes, strat):
+    scen = Scenario(tuple(pool[k] for k in data.draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=1, max_size=6))), msg_bytes,
+        msg_bytes - 780)
+    caps = [pipeline_capacity(p, rate_msgs(scen, i))
+            for i, p in enumerate(scen.paths)]
+
+    def fits(w):
+        per = sharing_function(strat)(scen, w).per_path
+        return all(x <= c for x, c in zip(per, caps))
+
+    try:
+        w = wmax(scen, strat)
+    except ModelError:
+        assert not fits(1)
+    else:
+        assert fits(w) and not fits(w + 1)
 
 
 # --------------------------------------------------------------------------
