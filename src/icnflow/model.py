@@ -60,6 +60,10 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
             for i, p in enumerate(scenario.paths)]
     if strategy in (StrategyId.PE, StrategyId.UG):
         w_hi = len(caps) * min(caps)
+    elif min(caps) > _SEARCH_CAP:
+        # No path holds more than the whole window, so every window up to
+        # min(caps) fits: w_max >= min(caps) is past the guard, no walk needed.
+        w_hi = min(caps)
     else:
         w_hi = -1  # the last window that fit, as the walk goes
         for faces in placements(scenario, strategy):

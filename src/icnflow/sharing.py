@@ -5,8 +5,10 @@ it keeps on every path.  pe/ug are closed-form and real-valued.  re/cf/fpf
 each have one placement process that puts one Interest at a time on a path,
 and their allocation is its first H steps.  re and fpf replay the simulator's
 own face picker; cf keeps the model's least pending/sqrt(RTT) rule, because
-the simulator's cf is a stride over 1/pending.  All of them satisfy
-sum(per_path) == H and per_path >= 0, and allocations only grow with H.
+the simulator's cf is a stride over 1/pending.  Every step is one pass over
+the paths that builds no list; cf's computes the RTT inline.  All of them
+satisfy sum(per_path) == H and per_path >= 0, and allocations only grow
+with H.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .core import Scenario, SharingVector, StrategyId, rate_msgs, rtt
+from .core import Scenario, SharingVector, StrategyId, rate_msgs
+# Unused here; bench/tracing.py patches it and its traced run needs it.
+from .core import rtt  # noqa: F401
 from .sim import FaceState, SimConfig, _selector
 
 
@@ -37,15 +41,26 @@ def share_ug(scenario: Scenario, total: int) -> SharingVector:
 def placements(scenario: Scenario, strategy: StrategyId):
     """The re, cf or fpf placement process: yields the live per-path
     FaceState list (the same list each time, not a copy) before the first
-    Interest and after each one, so item k is the state after k Interests."""
+    Interest and after each one, so item k is the state after k Interests.
+    Each step is one pass over the paths; cf's inlines core.rtt."""
     faces = [FaceState() for _ in scenario.paths]
     if strategy is StrategyId.CF:
-        lanes = [(i, p, f, rate_msgs(scenario, i))
+        lanes = [(i, f, 2.0 * p.delay, rate_msgs(scenario, i))
                  for i, (p, f) in enumerate(zip(scenario.paths, faces))]
 
         def pick():
-            return min([(f.pending / math.sqrt(rtt(p, f.pending, r)),
-                         f.pending, i) for i, p, f, r in lanes])[2]
+            # Least pending/sqrt(rtt), then pending; a strict < over
+            # ascending indices keeps the lowest index among exact ties.
+            best, bk, bp = None, math.inf, 0
+            for i, f, two_d, rate in lanes:
+                p = f.pending
+                k = p / rate
+                if k < two_d:  # core.rtt: max(2·delay, pending/rate)
+                    k = two_d
+                k = p / math.sqrt(k)
+                if k < bk or k == bk and p < bp:
+                    best, bk, bp = i, k, p
+            return best
     else:
         # The first dispatches the simulator makes before any Data comes
         # back: its own face picker, oracle caps, lowest-index ties.

@@ -49,10 +49,21 @@ class TestWmax:
                 wmax(dead, s)
         assert wmax(dead, StrategyId.FPF) == 30
 
-    def test_unbounded_capacity_is_caught(self):
+    def test_unbounded_capacity_is_caught(self, monkeypatch):
         bottomless = Scenario((PathSpec(0.020, 10e6, 10 ** 9),))
+        for s in StrategyId:
+            with pytest.raises(ModelError, match="unbounded"):
+                wmax(bottomless, s)
+        # Every window up to min(caps) fits, so a smallest cap past the guard
+        # raises at once: TWO_PATH's caps are 30 and 81, and fpf must not
+        # start its 111-step walk.
+        monkeypatch.setattr("icnflow.model._SEARCH_CAP", 29)
+
+        def no_walk(*args):
+            raise AssertionError("wmax walked with min(caps) past the guard")
+        monkeypatch.setattr("icnflow.model.placements", no_walk)
         with pytest.raises(ModelError, match="unbounded"):
-            wmax(bottomless, StrategyId.PE)
+            wmax(TWO_PATH, StrategyId.FPF)
 
     def test_runaway_guard_allows_a_window_up_to_the_cap(self, monkeypatch):
         # fpf on TWO_PATH peaks at 111 and pe at 60 (see the tests above).
@@ -67,6 +78,20 @@ class TestWmax:
 
 
 class TestCycle:
+    def test_eight_path_cycle_is_pinned(self):
+        # One-way delays 10, 20, ..., 80 ms at 6.25 Mbit/s with 12-message
+        # buffers: the benchmark's wide_model scenario at seed 0.
+        eight = Scenario(tuple(PathSpec(0.010 * k, 6.25e6, 12)
+                               for k in range(1, 9)))
+        pinned = {StrategyId.PE: (120, 978.4068587278767),
+                  StrategyId.UG: (120, 978.4068587278767),
+                  StrategyId.RE: (60, 563.4347820777265),
+                  StrategyId.CF: (132, 1064.7304290842337),
+                  StrategyId.FPF: (208, 1142.6283374953562)}
+        for s, want in pinned.items():
+            cs = cycle(eight, s)
+            assert (cs.w_max, cs.y_msgs_per_s) == want, s
+
     def test_even_split_on_twin_paths(self):
         cs = cycle(TWIN, StrategyId.PE)
         assert cs.w_max == 60
