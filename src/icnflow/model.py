@@ -49,7 +49,8 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
     """Largest window whose sharing stays within every pipeline capacity.
 
     pe/ug: n*min(C), exact because the caps are integers ((n*c)/n == c).
-    re/cf/fpf: window w's allocation is the first w steps of one placement
+    fpf: sum(C), as it overflows no path while another still has room.
+    re/cf: window w's allocation is the first w steps of one placement
     process, so one walk stops at its first overflow; w_max is the step
     before it.  Raises ValueError for a scenario core.validate() rejects.
     """
@@ -60,6 +61,8 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
             for i, p in enumerate(scenario.paths)]
     if strategy in (StrategyId.PE, StrategyId.UG):
         w_hi = len(caps) * min(caps)
+    elif strategy is StrategyId.FPF:
+        w_hi = sum(caps)
     elif min(caps) > _SEARCH_CAP:
         # No path holds more than the whole window, so every window up to
         # min(caps) fits: w_max >= min(caps) is past the guard, no walk needed.

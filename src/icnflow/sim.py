@@ -19,6 +19,9 @@ its bottleneck in send order (one fixed delay per face, and send times never
 decrease), so the FIFO can be run for each one at once, at its arrival
 instant; the Interest then costs one heap event: its Data's return, or the
 loss detection.  Only Data that returns at or after its timer costs two.
+
+`run()` is one loop: each pass first sends one Interest per free window slot,
+then pops the next event and handles it in place.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ _EST_GUARD = 0.75
 # Data, the send instant for a loss), `cause` is the `sched` of the event it
 # handles then (for Data the send instant, also the RTT origin), and `seq` is
 # push order here.  Only ties that also reach back past `cause` can come out
-# in another order.
+# in another order.  The Interests a pass of run()'s loop sends carry the
+# `sched` of the event the pass before it handled as their `cause`.
 _EV_DATA = 0  # Data reached the receiver (before its timer, if any)
 _EV_LOSS = 1  # loss detected: dropped at the bottleneck (oracle) or timer fired
 _EV_LATE = 2  # Data reached the receiver at or after its timer
@@ -186,13 +190,13 @@ def _selector(strategy: StrategyId, faces, scenario: Scenario,
 
     if strategy is StrategyId.CF:
         def pick_cf():
-            try:
-                for i, f in lanes:
-                    weights[i] = 1.0 / f.pending
-            except ZeroDivisionError:
-                # An idle face has unbounded weight: take it at once.  As
-                # pending is never negative, the idle faces are the least.
-                return least_pending()
+            for i, f in lanes:
+                p = f.pending
+                if p == 0:
+                    # An idle face has unbounded weight: take it at once.  As
+                    # pending is never negative, the idle faces are the least.
+                    return least_pending()
+                weights[i] = 1.0 / p
             return stride()
         return pick_cf
 
@@ -268,10 +272,6 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
         raise ValueError("; ".join(problems))
 
     n = len(scenario.paths)
-    delays = [p.delay for p in scenario.paths]
-    svc = [8.0 * scenario.data_msg_bytes / p.rate_bps for p in scenario.paths]
-    bufs = [p.buffer_msgs for p in scenario.paths]
-
     faces = [FaceState() for _ in range(n)]
     rng = random.Random(config.seed) if config.seed != 0 else None
     alpha = config.rtt_smoothing_alpha
@@ -279,9 +279,11 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     est_mode = config.fpf_capacity_mode == FPF_CAP_ESTIMATED
     choose = _selector(strategy, faces, scenario, config, rng)
 
-    # Per-face bottleneck: finish times of the Data messages it holds (head
-    # in transmission, the rest in the buffer) as of the last arrival there.
-    queues = [deque() for _ in range(n)]
+    # Per face: its state, its bottleneck (finish times of the Data messages
+    # it holds, head in transmission and the rest in the buffer, as of the
+    # last arrival there), one-way delay, service time and buffer size.
+    lanes = [(f, deque(), p.delay, 8.0 * scenario.data_msg_bytes / p.rate_bps,
+              p.buffer_msgs) for f, p in zip(faces, scenario.paths)]
 
     heap = []
     push = heapq.heappush
@@ -304,21 +306,15 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     loss_times = []
     r_srtt = None           # receiver-level smoothed RTT, times loss rounds
     absorb_until = -1.0     # drops before this instant share one halving
-    fallback_absorb = 2.0 * max(delays)
+    fallback_absorb = 2.0 * max(p.delay for p in scenario.paths)
     trace = [(0.0, cur_w)] if config.trace_window else None
+    end = config.duration  # None while running to a chunk target
+    now = 0.0
+    cause = 0.0             # `sched` of the event being handled
 
-    def note_window(now):
-        nonlocal cur_w, max_w
-        w = int(wnd)
-        if w != cur_w:
-            cur_w = w
-            if w > max_w:
-                max_w = w
-            if trace is not None:
-                trace.append((now, w))
-
-    def dispatch(now, cause):
-        nonlocal seq, in_flight, next_chunk
+    while True:
+        # Send one Interest per free window slot.  After late Data nothing
+        # is free, as that event moves neither the window nor what is out.
         while in_flight < cur_w:
             if retx:
                 chunk = retx.popleft()
@@ -328,31 +324,30 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
             else:
                 break
             i = choose()
-            f = faces[i]
-            f.pending += 1
-            if f.pending > max_pending[i]:
-                max_pending[i] = f.pending
+            f, q, delay, svc, buf = lanes[i]
+            p = f.pending = f.pending + 1
+            if p > max_pending[i]:
+                max_pending[i] = p
             in_flight += 1
             per_sent[i] += 1
             # Run the bottleneck FIFO now, at the instant t the Interest
             # reaches it: it holds exactly what it will hold then.
-            t = now + delays[i]
-            q = queues[i]
+            t = now + delay
             while q and q[0] <= t:  # finished transmissions free their slot first
                 q.popleft()
             if not oracle_loss:
                 timer = now + _RTO_FACTOR * (r_srtt if r_srtt is not None
-                                             else fallback_absorb + svc[i])
-            if q and len(q) >= bufs[i]:
+                                             else fallback_absorb + svc)
+            if q and len(q) >= buf:
                 # Buffer full: drop-tail.  The message in transmission still
                 # holds its slot until it finishes, so a path sustains at most
                 # 2·delay·rate + buffer in flight, the pipeline capacity.
                 push(heap, (t if oracle_loss else timer, now, cause, seq,
                             _EV_LOSS, i, chunk))
             else:
-                fin = (q[-1] if q else t) + svc[i]
+                fin = (q[-1] if q else t) + svc
                 q.append(fin)
-                back = fin + delays[i]
+                back = fin + delay
                 if not oracle_loss and back >= timer:
                     push(heap, (timer, now, cause, seq, _EV_LOSS, i, chunk))
                     seq += 1
@@ -361,33 +356,9 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
                     push(heap, (back, t, now, seq, _EV_DATA, i, chunk))
             seq += 1
 
-    def register_loss(now, cause, i, chunk):
-        nonlocal losses, in_flight, wnd
-        losses += 1
-        loss_times.append(now)
-        per_drop[i] += 1
-        f = faces[i]
-        if est_mode:
-            f.est_capacity = _EST_GUARD * f.pending
-        f.pending -= 1
-        in_flight -= 1
-        retx.appendleft(chunk)
-        if now >= absorb_until:
-            _halve(now)
-        dispatch(now, cause)
-
-    def _halve(now):
-        nonlocal wnd, absorb_until
-        wnd = float(max(1, int(wnd / 2.0)))
-        absorb_until = now + (r_srtt if r_srtt is not None else fallback_absorb)
-        note_window(now)
-
-    dispatch(0.0, 0.0)
-    end = config.duration  # None while running to a chunk target
-    now = 0.0
-
-    while heap:
-        t, sched, sent, _, kind, i, chunk = pop(heap)
+        if not heap:
+            break
+        t, cause, sent, _, kind, i, chunk = pop(heap)
         if end is not None and t > end:
             break
         now = t
@@ -403,12 +374,34 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
             r_srtt = sample if r_srtt is None else \
                 r_srtt + alpha * (sample - r_srtt)
             wnd += 1.0 / wnd
-            note_window(t)
+            w = int(wnd)
+            if w != cur_w:
+                cur_w = w
+                if w > max_w:
+                    max_w = w
+                if trace is not None:
+                    trace.append((t, w))
             if total is not None and delivered >= total:
                 break
-            dispatch(t, sched)
         elif kind == _EV_LOSS:
-            register_loss(t, sched, i, chunk)
+            losses += 1
+            loss_times.append(t)
+            per_drop[i] += 1
+            f = faces[i]
+            if est_mode:
+                f.est_capacity = _EST_GUARD * f.pending
+            f.pending -= 1
+            in_flight -= 1
+            retx.appendleft(chunk)
+            if t >= absorb_until:
+                w = max(1, int(wnd / 2.0))  # never above max_w
+                wnd = float(w)
+                absorb_until = t + (r_srtt if r_srtt is not None
+                                    else fallback_absorb)
+                if w != cur_w:
+                    cur_w = w
+                    if trace is not None:
+                        trace.append((t, w))
         else:  # _EV_LATE: the Interest was written off, the Data still counts
             delivered += 1
             per_del[i] += 1

@@ -2,15 +2,18 @@
 
 import csv
 import hashlib
+import io
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from icnflow import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, PathSpec, Scenario,
-                     SimConfig, StrategyId)
-from icnflow.cli import (ExperimentError, ExperimentSpec, SweepSpec,
+                     SimConfig, SimResult, StrategyId)
+from icnflow.cli import (ExperimentError, ExperimentSpec, SweepSpec, _fmt,
                          load_experiment, main, run_experiment)
 
 HERE = os.path.dirname(__file__)
@@ -203,6 +206,29 @@ class TestRun:
         assert rows[0] == ["time_s", "window"]
         assert rows[1] == ["0", "1"]
         assert len(rows) > 10
+
+    def test_window_trace_bytes_are_what_csv_writer_gives(self, tmp_path,
+                                                          monkeypatch):
+        trace = ((0.0, 1), (1e-05, 2), (0.1 + 0.2, 3), (1234567.0, 1))
+        result = SimResult(
+            delivered_msgs=4, elapsed=1.0, rate_msgs_per_s=4.0,
+            gross_bps=4.0 * 8 * 4876, net_bps=4.0 * 8 * 4096, losses=1,
+            loss_times=(0.5,), per_face_delivered=(4,), per_face_sent=(5,),
+            per_face_dropped=(1,), per_face_inflight=(0,),
+            per_face_max_pending=(3,), max_window=3, window_trace=trace)
+        monkeypatch.setattr("icnflow.cli.run", lambda *args: result)
+        assert run_experiment(ExperimentSpec(
+            Scenario((PathSpec(0.020, 10e6, 20),)), (StrategyId.PE,), "sim",
+            None, SimConfig(duration=1.0, trace_window=True),
+            str(tmp_path / "bytes"))) == 0
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["time_s", "window"])
+        for t, w in trace:
+            writer.writerow([_fmt(t), str(w)])
+        got = (tmp_path / "bytes-window-pe.csv").read_bytes()
+        assert got == want.getvalue().encode("utf-8")
+        assert got == b"time_s,window\n0,1\n1e-05,2\n0.3,3\n1234567,1\n"
 
 
 # sha256 of CSVs written by the seeded runs below, recorded before the
@@ -408,3 +434,14 @@ class TestMain:
                                f"output = {tmp_path / 't'}\n")
         assert main(["trace", "--experiment", exp]) == 0
         assert (tmp_path / "t-window-re.csv").exists()
+
+    def test_python_dash_m_runs_from_a_checkout(self, tmp_path):
+        exp = _write(tmp_path, MINIMAL.format(out=tmp_path / "m"))
+        env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "icnflow", "model", "--experiment", exp],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "wrote" in done.stdout
+        with open(tmp_path / "m-rates.csv") as fh:
+            assert [r["strategy"] for r in csv.DictReader(fh)] == ["pe"]

@@ -50,20 +50,26 @@ class TestWmax:
         assert wmax(dead, StrategyId.FPF) == 30
 
     def test_unbounded_capacity_is_caught(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("wmax walked to a bound past the guard")
+        monkeypatch.setattr("icnflow.model.placements", no_walk)
         bottomless = Scenario((PathSpec(0.020, 10e6, 10 ** 9),))
         for s in StrategyId:
             with pytest.raises(ModelError, match="unbounded"):
                 wmax(bottomless, s)
-        # Every window up to min(caps) fits, so a smallest cap past the guard
-        # raises at once: TWO_PATH's caps are 30 and 81, and fpf must not
-        # start its 111-step walk.
-        monkeypatch.setattr("icnflow.model._SEARCH_CAP", 29)
-
-        def no_walk(*args):
-            raise AssertionError("wmax walked with min(caps) past the guard")
-        monkeypatch.setattr("icnflow.model.placements", no_walk)
+        # fpf fills the small path, then spills every Interest onto the
+        # bottomless one: its w_max is sum(caps), known without a walk.
+        beside = Scenario((PathSpec(0.020, 10e6, 20),
+                           PathSpec(0.020, 10e6, 10 ** 9)))
         with pytest.raises(ModelError, match="unbounded"):
-            wmax(TWO_PATH, StrategyId.FPF)
+            wmax(beside, StrategyId.FPF)
+        # Every window up to min(caps) fits, so a smallest cap past the guard
+        # raises at once: TWO_PATH's caps are 30 and 81, and re/cf must not
+        # start their walks.
+        monkeypatch.setattr("icnflow.model._SEARCH_CAP", 29)
+        for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
+            with pytest.raises(ModelError, match="unbounded"):
+                wmax(TWO_PATH, s)
 
     def test_runaway_guard_allows_a_window_up_to_the_cap(self, monkeypatch):
         # fpf on TWO_PATH peaks at 111 and pe at 60 (see the tests above).

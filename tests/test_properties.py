@@ -272,7 +272,7 @@ _STOP = st.one_of(
 
 @settings(max_examples=EXAMPLES["engine_differential"], deadline=None,
           derandomize=True)
-@given(st.lists(_ROUND_PATH, min_size=1, max_size=5),
+@given(st.lists(_ROUND_PATH, min_size=1, max_size=8),
        st.sampled_from([4876, 1250]), ALL_STRATEGIES,
        st.sampled_from([LOSS_ORACLE, LOSS_TIMEOUT]),
        st.sampled_from([FPF_CAP_ORACLE, FPF_CAP_ESTIMATED]),
