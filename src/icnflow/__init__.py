@@ -6,20 +6,20 @@ The library has four layers:
 * `core` — scenario description (paths, message sizes) and the handful of
   per-path quantities everything else is built from (service rate, round
   trip time, pipeline capacity).
-* `sharing` — how each forwarding strategy splits a total pending-message
-  budget across paths.
+* `sharing` — the forwarding strategies: each one's per-Interest face
+  picker, and how it splits a window of pending Interests across paths.
 * `model` — fluid cycle model of a halve-on-loss, grow-per-delivery window
   controller driving those strategies; yields steady-state receive rate.
 * `sim` — per-message event simulator of the same system with drop-tail
   path buffers, used to validate the model.
 
-`cli` wires all of it to experiment files and CSV output.
+Each layer imports only from the ones above it (`model` and `sim` both sit
+on `sharing`); `cli` wires all of it to experiment files and CSV output.
 """
 
 from .core import (
     PathSpec,
     Scenario,
-    SharingVector,
     StrategyId,
     pipeline_capacity,
     rate_msgs,
@@ -27,14 +27,7 @@ from .core import (
     scenario_with,
     validate,
 )
-from .sharing import (
-    share_cf,
-    share_fpf,
-    share_pe,
-    share_re,
-    share_ug,
-    sharing_function,
-)
+from .sharing import sharing_function
 from .model import (
     CycleStats,
     ModelError,
@@ -58,9 +51,8 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PathSpec", "Scenario", "SharingVector", "StrategyId",
+    "PathSpec", "Scenario", "StrategyId",
     "pipeline_capacity", "rate_msgs", "rtt", "scenario_with", "validate",
-    "share_cf", "share_fpf", "share_pe", "share_re", "share_ug",
     "sharing_function",
     "CycleStats", "ModelError", "RoundStats", "cycle", "wmax",
     "FPF_CAP_ESTIMATED", "FPF_CAP_ORACLE", "LOSS_ORACLE", "LOSS_TIMEOUT",

@@ -38,14 +38,14 @@ from dataclasses import dataclass, replace
 
 from .core import (PathSpec, Scenario, StrategyId, scenario_with, validate)
 from .model import ModelError, cycle
-from .sim import (LOSS_ORACLE, LOSS_TIMEOUT, SimConfig, run, validate_config)
+from .sim import SimConfig, run, validate_config
 
 _RATES_HEADER = ["sweep_value", "strategy", "source", "y_msgs_per_s",
                  "y_gross_mbps", "y_net_mbps", "w_max_or_peak"]
 
 _PATH_KEYS = ("delay_ms", "rate_mbps", "buffer_msgs")
 _SWEEP_KEYS = ("path", "param", "from", "to", "step")
-_DEFAULT_DURATION_S = 30.0
+_DEFAULT_DURATION_S = 30.0  # when the file sets neither stop condition
 
 
 class ExperimentError(Exception):
@@ -138,6 +138,12 @@ def load_experiment(path: str) -> ExperimentSpec:
             problems.append(f"line {lineno}: bad value for {key}: {exc}")
             return default
 
+    def given(**keys):
+        # Keywords for the keys the file sets and that parse, so Scenario
+        # and SimConfig own every default (no converter returns None).
+        kw = {field: take(key, conv, None) for field, (key, conv) in keys.items()}
+        return {field: v for field, v in kw.items() if v is not None}
+
     # paths (ms / Mbps at this boundary, SI below)
     paths = []
     for idx, blk in enumerate(path_blocks):
@@ -159,9 +165,9 @@ def load_experiment(path: str) -> ExperimentSpec:
     if not path_blocks:
         problems.append("no path.* blocks found")
 
-    data_bytes = take("data_msg_bytes", int, 4876)
-    payload_bytes = take("payload_bytes", int, 4096)
-    scenario = Scenario(tuple(paths), data_bytes, payload_bytes)
+    scenario = Scenario(tuple(paths), **given(
+        data_msg_bytes=("data_msg_bytes", int),
+        payload_bytes=("payload_bytes", int)))
 
     strategies = []
     if "strategies" in flat:
@@ -211,19 +217,17 @@ def load_experiment(path: str) -> ExperimentSpec:
         if ok:
             sweep = SweepSpec(p_idx, param, start, stop, step)
 
-    duration = take("sim.duration_s", float, None)
-    chunks = take("sim.total_chunks", int, None)
-    if duration is None and chunks is None:
-        duration = _DEFAULT_DURATION_S
-    sim_cfg = SimConfig(
-        duration=duration,
-        total_chunks=chunks,
-        initial_window=take("sim.initial_window", int, 1),
-        seed=take("sim.seed", int, 0),
-        loss_signal=take("sim.loss_signal", str, LOSS_ORACLE),
-        fpf_capacity_mode=take("sim.fpf_capacity_mode", str, "oracle"),
-        rtt_smoothing_alpha=take("sim.rtt_alpha", float, 0.125),
-        trace_window=take("sim.trace_window", _parse_bool, False))
+    sim_kw = given(duration=("sim.duration_s", float),
+                   total_chunks=("sim.total_chunks", int),
+                   initial_window=("sim.initial_window", int),
+                   seed=("sim.seed", int),
+                   loss_signal=("sim.loss_signal", str),
+                   fpf_capacity_mode=("sim.fpf_capacity_mode", str),
+                   rtt_smoothing_alpha=("sim.rtt_alpha", float),
+                   trace_window=("sim.trace_window", _parse_bool))
+    if "duration" not in sim_kw and "total_chunks" not in sim_kw:
+        sim_kw["duration"] = _DEFAULT_DURATION_S
+    sim_cfg = SimConfig(**sim_kw)
 
     output = take("output", str, "out/experiment")
 

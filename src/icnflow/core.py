@@ -40,14 +40,6 @@ class Scenario:
     payload_bytes: int = 4096   # application payload carried per message
 
 
-@dataclass(frozen=True)
-class SharingVector:
-    """How a window of `total` pending Interests spreads over the paths."""
-
-    total: int
-    per_path: tuple[float, ...]  # average pending Interests on each path
-
-
 def rate_msgs(scenario: Scenario, path_index: int) -> float:
     """Bottleneck rate of one path, in Data messages per second."""
     path = scenario.paths[path_index]

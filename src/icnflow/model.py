@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Scenario, SharingVector, StrategyId, pipeline_capacity,
-                   rate_msgs, rtt, validate)
+from .core import (Scenario, StrategyId, pipeline_capacity, rate_msgs, rtt,
+                   validate)
 from .sharing import placements, sharing_function
 
 # A window past this is a misconfigured scenario (runaway buffer or rate),
@@ -27,11 +27,11 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class RoundStats:
-    w_k: int                          # window held during this round
-    per_path_pending: SharingVector   # how the window spreads over paths
-    per_path_rate: tuple[float, ...]  # msgs/s each path contributes
-    b_k: float                        # aggregate delivery rate, msgs/s
-    x_k: float                        # round duration, seconds
+    w_k: int                             # window held during this round
+    per_path_pending: tuple[float, ...]  # how the window spreads over paths
+    per_path_rate: tuple[float, ...]     # msgs/s each path contributes
+    b_k: float                           # aggregate delivery rate, msgs/s
+    x_k: float                           # round duration, seconds
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,12 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
     t_total = 0
     a_total = 0.0
     for w in range(w_lo, w_hi + 1):
-        sv = share(scenario, w)
-        per_rate = tuple(
-            sv.per_path[i] / rtt(paths[i], sv.per_path[i], rates[i])
-            for i in range(n))
+        per = share(scenario, w)
+        per_rate = tuple(per[i] / rtt(paths[i], per[i], rates[i])
+                         for i in range(n))
         b_k = sum(per_rate)
         x_k = w / b_k
-        rounds.append(RoundStats(w, sv, per_rate, b_k, x_k))
+        rounds.append(RoundStats(w, per, per_rate, b_k, x_k))
         t_total += w
         a_total += x_k
     y = t_total / a_total

@@ -1,42 +1,161 @@
-"""Sharing functions: long-run per-path allocation of a window of Interests.
+"""Forwarding strategies, seen from both sides of the package.
 
-Each strategy maps a window size H to the average number of pending Interests
-it keeps on every path.  pe/ug are closed-form and real-valued.  re/cf/fpf
-each have one placement process that puts one Interest at a time on a path,
-and their allocation is its first H steps.  re and fpf replay the simulator's
-own face picker; cf keeps the model's least pending/sqrt(RTT) rule, because
-the simulator's cf is a stride over 1/pending.  Every step is one pass over
-the paths that builds no list; cf's computes the RTT inline.  All of them
-satisfy sum(per_path) == H and per_path >= 0, and allocations only grow
-with H.
+`picker` is each strategy's per-Interest forwarding rule, as the simulator
+runs it.  `sharing_function` is its long-run allocation, as the model reads
+it: a window size H maps to the average number of pending Interests on
+every path.  pe/ug split H evenly.  re/cf/fpf each have one placement process
+that puts one Interest at a time on a path, and their allocation is its
+first H steps.  re and fpf replay the simulator's own picker; cf keeps the
+model's least pending/sqrt(RTT) rule, because the simulator's cf is a stride
+over 1/pending.  Every step is one pass over the paths that builds no list;
+cf's computes the RTT inline.  All of them satisfy sum(allocation) == H and
+allocation >= 0, and allocations only grow with H.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import islice
 
-from .core import Scenario, SharingVector, StrategyId, rate_msgs
+from .core import Scenario, StrategyId, pipeline_capacity, rate_msgs
 # Unused here; bench/tracing.py patches it and its traced run needs it.
 from .core import rtt  # noqa: F401
-from .sim import FaceState, SimConfig, _selector
 
 
-def _even_split(scenario: Scenario, total: int) -> SharingVector:
-    n = len(scenario.paths)
-    return SharingVector(total, (total / n,) * n)
+@dataclass(slots=True)
+class FaceState:
+    pending: int = 0             # Interests outstanding on this face
+    srtt: float | None = None    # smoothed RTT; None until the first sample
+    rr_credit: float = 0.0       # deficit counter for the weighted round robins
+    est_capacity: float | None = None  # learned pipeline size (estimated fpf)
 
 
-def share_pe(scenario: Scenario, total: int) -> SharingVector:
-    """Pending equalization: the window splits evenly over the paths."""
-    return _even_split(scenario, total)
+# ---------------------------------------------------------------------------
+# per-Interest face selection
+#
+# Every picker makes one pass over the faces and keeps the least key seen so
+# far (keys are finite).  Exact ties fall to the lowest index or, when an rng
+# is supplied, to a seeded random choice among the tied faces in index
+# order; only such a tie builds a list.
+
+def picker(strategy: StrategyId, faces, scenario: Scenario,
+           estimated_caps: bool, rng):
+    """The strategy's forwarding rule as a no-argument picker over `faces`.
+
+    Each call returns the face for one outgoing Interest, reading the live
+    face state; ug/cf calls also move the round-robin credits.  With
+    `estimated_caps`, fpf caps a face at its learned `est_capacity` instead
+    of its pipeline capacity.
+    """
+    lanes = list(enumerate(faces))
+
+    def least_pending():
+        best, tied, bp = None, None, math.inf
+        for i, f in lanes:
+            p = f.pending
+            if p < bp:
+                best, bp, tied = i, p, None
+            elif p == bp and rng is not None:
+                tied = tied or [best]
+                tied.append(i)
+        return best if tied is None else rng.choice(tied)
+
+    weights = [0.0] * len(faces)  # refilled by every ug/cf call
+
+    def stride():
+        # Stride scheduling: every dispatch grants each face credit in
+        # proportion to its weight and the winner pays one unit, so long-run
+        # dispatch shares follow the weights.
+        w_sum = sum(weights)
+        best, tied, bk, bp = None, None, math.inf, 0
+        for i, f in lanes:
+            f.rr_credit += weights[i] / w_sum
+            k, p = -f.rr_credit, f.pending
+            if k < bk or k == bk and p < bp:
+                best, bk, bp, tied = i, k, p, None
+            elif k == bk and p == bp and rng is not None:
+                tied = tied or [best]
+                tied.append(i)
+        i = best if tied is None else rng.choice(tied)
+        faces[i].rr_credit -= 1.0
+        return i
+
+    if strategy is StrategyId.PE:
+        return least_pending
+
+    if strategy is StrategyId.UG:
+        def pick_ug():
+            # Weights 1/srtt; unsampled faces borrow the best known srtt.
+            probe = None
+            for i, f in lanes:
+                if f.srtt is None and probe is None:
+                    probe = min((g.srtt for g in faces if g.srtt is not None),
+                                default=1.0)
+                weights[i] = 1.0 / (f.srtt if f.srtt is not None else probe)
+            return stride()
+        return pick_ug
+
+    if strategy is StrategyId.CF:
+        def pick_cf():
+            for i, f in lanes:
+                p = f.pending
+                if p == 0:
+                    # An idle face has unbounded weight: take it at once.  As
+                    # pending is never negative, the idle faces are the least.
+                    return least_pending()
+                weights[i] = 1.0 / p
+            return stride()
+        return pick_cf
+
+    if strategy not in (StrategyId.RE, StrategyId.FPF):
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    # re and fpf: lowest current round trip wins, pending then index break
+    # ties, so identical paths interleave instead of piling onto one face.
+    # The round trip is core.rtt, queue-aware: the propagation floor or the
+    # time the current backlog needs to drain, whichever dominates.
+    # placements() replays this picker, so the model's re/fpf allocations
+    # are the simulator's own first dispatches.
+    oracle = strategy is StrategyId.FPF and not estimated_caps
+    rates = [rate_msgs(scenario, i) for i, _ in lanes]
+    rtt_lanes = [(i, f, 2.0 * p.delay, r,
+                  pipeline_capacity(p, r) if oracle else None)
+                 for (i, f), p, r in zip(lanes, scenario.paths, rates)]
+
+    def least_rtt(capped=False):
+        best, tied, bk, bp = None, None, math.inf, 0
+        for i, f, two_d, rate, cap in rtt_lanes:
+            p = f.pending
+            if capped:
+                if estimated_caps:
+                    cap = f.est_capacity  # None until learned: no cap
+                if cap is not None and p >= cap:
+                    continue
+            k = p / rate
+            if k < two_d:  # max(2·delay, pending/rate)
+                k = two_d
+            if k < bk or k == bk and p < bp:
+                best, bk, bp, tied = i, k, p, None
+            elif k == bk and p == bp and rng is not None:
+                tied = tied or [best]
+                tied.append(i)
+        return best if tied is None else rng.choice(tied)
+
+    if strategy is StrategyId.RE:
+        return least_rtt
+
+    def pick_fpf():
+        # Never push a face past its capacity while another face still has
+        # room.  With every cap reached the Interest goes out anyway, which
+        # is what eventually overflows a buffer and turns the window around.
+        i = least_rtt(True)
+        return least_rtt(False) if i is None else i
+    return pick_fpf
 
 
-def share_ug(scenario: Scenario, total: int) -> SharingVector:
-    """Round robin weighted by inverse RTT settles on the same even split as
-    share_pe; kept as its own operation so the equivalence stays observable."""
-    return _even_split(scenario, total)
-
+# ---------------------------------------------------------------------------
+# long-run allocation of a window
 
 def placements(scenario: Scenario, strategy: StrategyId):
     """The re, cf or fpf placement process: yields the live per-path
@@ -64,46 +183,27 @@ def placements(scenario: Scenario, strategy: StrategyId):
     else:
         # The first dispatches the simulator makes before any Data comes
         # back: its own face picker, oracle caps, lowest-index ties.
-        pick = _selector(strategy, faces, scenario, SimConfig(), None)
+        pick = picker(strategy, faces, scenario, False, None)
     while True:
         yield faces
         faces[pick()].pending += 1
 
 
-def _stopped(scenario: Scenario, total: int, strategy: StrategyId):
-    faces = next(islice(placements(scenario, strategy), total, None))
-    return SharingVector(total, tuple(float(f.pending) for f in faces))
-
-
-def share_re(scenario: Scenario, total: int) -> SharingVector:
-    """RTT equalization: each Interest goes to the path that currently
-    answers fastest, which levels the per-path round-trip times."""
-    return _stopped(scenario, total, StrategyId.RE)
-
-
-def share_cf(scenario: Scenario, total: int) -> SharingVector:
-    """Each Interest goes to the path with the least pending count scaled by
-    the square root of its RTT; an empty path is always taken first.  Ties
-    fall to the least-loaded then lowest-indexed path."""
-    return _stopped(scenario, total, StrategyId.CF)
-
-
-def share_fpf(scenario: Scenario, total: int) -> SharingVector:
-    """Fastest pipeline first: like share_re, but a path stops accepting once
-    its pipeline capacity is full.  Past the point where every pipeline is
-    full the remainder lands on the quickest path regardless."""
-    return _stopped(scenario, total, StrategyId.FPF)
-
-
-_SHARING = {
-    StrategyId.PE: share_pe,
-    StrategyId.RE: share_re,
-    StrategyId.UG: share_ug,
-    StrategyId.CF: share_cf,
-    StrategyId.FPF: share_fpf,
-}
+def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:
+    n = len(scenario.paths)
+    return (total / n,) * n
 
 
 def sharing_function(strategy: StrategyId):
-    """The share_* callable implementing a strategy."""
-    return _SHARING[strategy]
+    """The strategy's allocation, `(scenario, total) -> per-path pending`.
+
+    pe and ug share the even split: ug's inverse-RTT round robin settles on
+    it.  re, cf and fpf read `placements` stopped at `total`.
+    """
+    if strategy in (StrategyId.PE, StrategyId.UG):
+        return _even_split
+
+    def stopped(scenario: Scenario, total: int) -> tuple[float, ...]:
+        faces = next(islice(placements(scenario, strategy), total, None))
+        return tuple(float(f.pending) for f in faces)
+    return stopped

@@ -32,8 +32,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .core import (Scenario, StrategyId, is_whole, pipeline_capacity,
-                   rate_msgs, validate)
+from .core import Scenario, StrategyId, is_whole, validate
+from .sharing import FaceState, picker
 
 LOSS_ORACLE = "oracle-immediate"
 LOSS_TIMEOUT = "timeout"
@@ -99,14 +99,6 @@ def validate_config(config: SimConfig) -> list[str]:
     return errors
 
 
-@dataclass(slots=True)
-class FaceState:
-    pending: int = 0             # Interests outstanding on this face
-    srtt: float | None = None    # smoothed RTT; None until the first sample
-    rr_credit: float = 0.0       # deficit counter for the weighted round robins
-    est_capacity: float | None = None  # learned pipeline size (estimated fpf)
-
-
 @dataclass(frozen=True)
 class SimResult:
     delivered_msgs: int
@@ -125,136 +117,11 @@ class SimResult:
     window_trace: tuple[tuple[float, int], ...] | None
 
 
-# ---------------------------------------------------------------------------
-# per-Interest face selection
-#
-# Every picker makes one pass over the faces and keeps the least key seen so
-# far (keys are finite).  Exact ties fall to the lowest index or, when an rng
-# is supplied, to a seeded random choice among the tied faces in index
-# order; only such a tie builds a list.
-
-def _selector(strategy: StrategyId, faces, scenario: Scenario,
-              config: SimConfig, rng):
-    """The strategy's forwarding rule as a no-argument picker over `faces`.
-
-    Each call returns the face for one outgoing Interest, reading the live
-    face state; ug/cf calls also move the round-robin credits.
-    """
-    lanes = list(enumerate(faces))
-
-    def least_pending():
-        best, tied, bp = None, None, math.inf
-        for i, f in lanes:
-            p = f.pending
-            if p < bp:
-                best, bp, tied = i, p, None
-            elif p == bp and rng is not None:
-                tied = tied or [best]
-                tied.append(i)
-        return best if tied is None else rng.choice(tied)
-
-    weights = [0.0] * len(faces)  # refilled by every ug/cf call
-
-    def stride():
-        # Stride scheduling: every dispatch grants each face credit in
-        # proportion to its weight and the winner pays one unit, so long-run
-        # dispatch shares follow the weights.
-        w_sum = sum(weights)
-        best, tied, bk, bp = None, None, math.inf, 0
-        for i, f in lanes:
-            f.rr_credit += weights[i] / w_sum
-            k, p = -f.rr_credit, f.pending
-            if k < bk or k == bk and p < bp:
-                best, bk, bp, tied = i, k, p, None
-            elif k == bk and p == bp and rng is not None:
-                tied = tied or [best]
-                tied.append(i)
-        i = best if tied is None else rng.choice(tied)
-        faces[i].rr_credit -= 1.0
-        return i
-
-    if strategy is StrategyId.PE:
-        return least_pending
-
-    if strategy is StrategyId.UG:
-        def pick_ug():
-            # Weights 1/srtt; unsampled faces borrow the best known srtt.
-            probe = None
-            for i, f in lanes:
-                if f.srtt is None and probe is None:
-                    probe = min((g.srtt for g in faces if g.srtt is not None),
-                                default=1.0)
-                weights[i] = 1.0 / (f.srtt if f.srtt is not None else probe)
-            return stride()
-        return pick_ug
-
-    if strategy is StrategyId.CF:
-        def pick_cf():
-            for i, f in lanes:
-                p = f.pending
-                if p == 0:
-                    # An idle face has unbounded weight: take it at once.  As
-                    # pending is never negative, the idle faces are the least.
-                    return least_pending()
-                weights[i] = 1.0 / p
-            return stride()
-        return pick_cf
-
-    if strategy not in (StrategyId.RE, StrategyId.FPF):
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    # re and fpf: lowest current round trip wins, pending then index break
-    # ties, so identical paths interleave instead of piling onto one face.
-    # The round trip is core.rtt, queue-aware: the propagation floor or the
-    # time the current backlog needs to drain, whichever dominates.
-    # sharing.share_re/share_fpf replay this picker, so the model's
-    # allocations are the simulator's own first dispatches.
-    estimated = config.fpf_capacity_mode == FPF_CAP_ESTIMATED
-    oracle = strategy is StrategyId.FPF and not estimated
-    rates = [rate_msgs(scenario, i) for i, _ in lanes]
-    rtt_lanes = [(i, f, 2.0 * p.delay, r,
-                  pipeline_capacity(p, r) if oracle else None)
-                 for (i, f), p, r in zip(lanes, scenario.paths, rates)]
-
-    def least_rtt(capped=False):
-        best, tied, bk, bp = None, None, math.inf, 0
-        for i, f, two_d, rate, cap in rtt_lanes:
-            p = f.pending
-            if capped:
-                if estimated:
-                    cap = f.est_capacity  # None until learned: no cap
-                if cap is not None and p >= cap:
-                    continue
-            k = p / rate
-            if k < two_d:  # max(2·delay, pending/rate)
-                k = two_d
-            if k < bk or k == bk and p < bp:
-                best, bk, bp, tied = i, k, p, None
-            elif k == bk and p == bp and rng is not None:
-                tied = tied or [best]
-                tied.append(i)
-        return best if tied is None else rng.choice(tied)
-
-    if strategy is StrategyId.RE:
-        return least_rtt
-
-    def pick_fpf():
-        # Never push a face past its capacity while another face still has
-        # room.  With every cap reached the Interest goes out anyway, which
-        # is what eventually overflows a buffer and turns the window around.
-        i = least_rtt(True)
-        return least_rtt(False) if i is None else i
-    return pick_fpf
-
-
 def select_face(strategy: StrategyId, faces, scenario: Scenario,
                 config: SimConfig, rng=None) -> int:
-    """Pick the face for one outgoing Interest.
-
-    Mutates the round-robin credits for ug/cf.  Deterministic for a given
-    face state and rng state; with no rng, ties go to the lowest index.
-    """
-    return _selector(strategy, faces, scenario, config, rng)()
+    """Pick the face for one outgoing Interest; ug/cf move their credits."""
+    return picker(strategy, faces, scenario,
+                  config.fpf_capacity_mode == FPF_CAP_ESTIMATED, rng)()
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +144,7 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     alpha = config.rtt_smoothing_alpha
     oracle_loss = config.loss_signal == LOSS_ORACLE
     est_mode = config.fpf_capacity_mode == FPF_CAP_ESTIMATED
-    choose = _selector(strategy, faces, scenario, config, rng)
+    choose = picker(strategy, faces, scenario, est_mode, rng)
 
     # Per face: its state, its bottleneck (finish times of the Data messages
     # it holds, head in transmission and the rest in the buffer, as of the

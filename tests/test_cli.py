@@ -122,6 +122,26 @@ class TestLoad:
                                 "strategies = pe\n")
         assert load_experiment(path).scenario.paths[0].delay == 0.020
 
+    @pytest.mark.parametrize("lines, want", [
+        ("sim.total_chunks = 500\nsim.seed = 7\nsim.initial_window = 4\n"
+         "sim.loss_signal = timeout\nsim.fpf_capacity_mode = estimated\n"
+         "sim.rtt_alpha = 0.25\nsim.trace_window = yes\n",
+         SimConfig(total_chunks=500, seed=7, initial_window=4,
+                   loss_signal=LOSS_TIMEOUT,
+                   fpf_capacity_mode=FPF_CAP_ESTIMATED,
+                   rtt_smoothing_alpha=0.25, trace_window=True)),
+        ("sim.duration_s = 12\nsim.loss_signal = oracle-immediate\n"
+         "sim.fpf_capacity_mode = oracle\nsim.trace_window = off\n",
+         SimConfig(duration=12.0)),
+        ("", SimConfig(duration=30.0)),
+    ])
+    def test_sim_keys_build_the_sim_config(self, tmp_path, lines, want):
+        # Every sim.* key the README lists; keys left out keep SimConfig's
+        # defaults, and so does the scenario's message size.
+        spec = load_experiment(_write(tmp_path, MINIMAL.format(out="o") + lines))
+        assert spec.sim == want
+        assert spec.scenario == Scenario(spec.scenario.paths)
+
 
 class TestRun:
     def test_rates_csv_schema_and_round_trip(self, tmp_path):

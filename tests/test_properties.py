@@ -14,10 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 import _oracle
 from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
                      LOSS_TIMEOUT, ModelError, PathSpec, Scenario, SimConfig,
-                     StrategyId, cycle, pipeline_capacity, rate_msgs, rtt, run,
-                     share_fpf, share_pe, share_re, share_ug, sharing_function,
-                     wmax)
-from icnflow.sim import FaceState, _selector
+                     StrategyId, cycle, pipeline_capacity, rate_msgs, run,
+                     sharing_function, wmax)
+from icnflow.sharing import FaceState, picker
 
 EXAMPLES = {
     "vector_invariants": 300,
@@ -66,10 +65,9 @@ TOTALS = st.integers(0, 500)
 @given(_scenario(), ALL_STRATEGIES, TOTALS)
 def test_allocations_are_nonnegative_and_sum_to_total(scen, strat, h):
     vec = sharing_function(strat)(scen, h)
-    assert len(vec.per_path) == len(scen.paths)
-    assert vec.total == h
-    assert all(x >= 0 for x in vec.per_path)
-    assert math.isclose(sum(vec.per_path), h, abs_tol=1e-9)
+    assert len(vec) == len(scen.paths)
+    assert all(x >= 0 for x in vec)
+    assert math.isclose(sum(vec), h, abs_tol=1e-9)
 
 
 @settings(max_examples=EXAMPLES["monotone_in_total"], deadline=None,
@@ -77,7 +75,7 @@ def test_allocations_are_nonnegative_and_sum_to_total(scen, strat, h):
 @given(_scenario(), ALL_STRATEGIES, st.integers(0, 200))
 def test_every_path_share_grows_with_the_total(scen, strat, h):
     fn = sharing_function(strat)
-    now, nxt = fn(scen, h).per_path, fn(scen, h + 1).per_path
+    now, nxt = fn(scen, h), fn(scen, h + 1)
     assert all(b >= a - 1e-12 for a, b in zip(now, nxt))
 
 
@@ -88,8 +86,8 @@ def test_capacity_filling_respects_every_cap_until_all_are_full(scen, data):
     caps = [pipeline_capacity(p, rate_msgs(scen, i))
             for i, p in enumerate(scen.paths)]
     h = data.draw(st.integers(0, sum(caps)))
-    vec = share_fpf(scen, h)
-    assert all(x <= c for x, c in zip(vec.per_path, caps))
+    vec = sharing_function(StrategyId.FPF)(scen, h)
+    assert all(x <= c for x, c in zip(vec, caps))
 
 
 @settings(max_examples=EXAMPLES["identical_paths"], deadline=None,
@@ -98,7 +96,7 @@ def test_capacity_filling_respects_every_cap_until_all_are_full(scen, data):
        TOTALS)
 def test_identical_paths_share_within_one_unit(path, n, strat, h):
     scen = Scenario((path,) * n)
-    vec = sharing_function(strat)(scen, h).per_path
+    vec = sharing_function(strat)(scen, h)
     assert max(vec) - min(vec) <= 1.0 + 1e-12
 
 
@@ -106,7 +104,8 @@ def test_identical_paths_share_within_one_unit(path, n, strat, h):
           derandomize=True)
 @given(_scenario(), TOTALS)
 def test_round_robin_closed_form_equals_even_split(scen, h):
-    assert share_ug(scen, h).per_path == share_pe(scen, h).per_path
+    assert (sharing_function(StrategyId.UG)(scen, h)
+            == sharing_function(StrategyId.PE)(scen, h))
 
 
 # Paths drawn from a small pool make exact key ties common; totals run past
@@ -130,7 +129,7 @@ def test_allocations_match_the_reference_loop(pool, data, msg_bytes, strat, h):
             for i, (d, _, b) in enumerate(paths)]
            == [pipeline_capacity(p, rate_msgs(scen, i))
                for i, p in enumerate(scen.paths)])
-    got = sharing_function(strat)(scen, h).per_path
+    got = sharing_function(strat)(scen, h)
     assert list(got) == _oracle.ref_share(paths, msg_bytes, strat.token, h)
 
 
@@ -146,7 +145,7 @@ def test_wmax_is_the_last_window_that_fits(pool, data, msg_bytes, strat):
             for i, p in enumerate(scen.paths)]
 
     def fits(w):
-        per = sharing_function(strat)(scen, w).per_path
+        per = sharing_function(strat)(scen, w)
         return all(x <= c for x, c in zip(per, caps))
 
     try:
@@ -247,8 +246,7 @@ def test_face_selector_matches_the_key_list_reference(pool, data, strat,
         caps = [pipeline_capacity(p, rate_msgs(scen, i))
                 for i, p in enumerate(scen.paths)]
     paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
-    pick = _selector(strat, faces, scen,
-                     SimConfig(duration=1.0, fpf_capacity_mode=cap_mode), rng)
+    pick = picker(strat, faces, scen, cap_mode == FPF_CAP_ESTIMATED, rng)
     for _ in range(calls):
         i = pick()
         assert i == _oracle.ref_select_face(strat.token, ref_faces, paths,

@@ -1,97 +1,111 @@
 """Unit tests for the per-strategy pending-allocation functions."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
 from icnflow import (PathSpec, Scenario, StrategyId, pipeline_capacity,
-                     rate_msgs, rtt, share_cf, share_fpf, share_pe, share_re,
-                     share_ug, sharing_function)
+                     rate_msgs, sharing_function)
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
 
+share_pe, share_re, share_ug, share_cf, share_fpf = (
+    sharing_function(StrategyId(t)) for t in ("pe", "re", "ug", "cf", "fpf"))
+
 
 class TestEvenSplit:
     def test_two_paths(self):
-        assert share_pe(TWIN, 4).per_path == (2.0, 2.0)
+        assert share_pe(TWIN, 4) == (2.0, 2.0)
 
     def test_fractional_split(self):
-        assert share_pe(TWIN, 61).per_path == (30.5, 30.5)
+        assert share_pe(TWIN, 61) == (30.5, 30.5)
 
     def test_three_paths(self):
         s = Scenario((PathSpec(0.02, 10e6, 20),) * 3)
-        assert share_pe(s, 10).per_path == pytest.approx((10 / 3,) * 3)
+        assert share_pe(s, 10) == pytest.approx((10 / 3,) * 3)
 
     def test_round_robin_form_matches_even_split(self):
         for h in (0, 1, 7, 61, 200):
-            assert share_ug(TWO_PATH, h).per_path == share_pe(TWO_PATH, h).per_path
+            assert share_ug(TWO_PATH, h) == share_pe(TWO_PATH, h)
 
     def test_four_path_split(self):
         s = Scenario((PathSpec(0.02, 10e6, 20),) * 4)
-        assert share_ug(s, 8).per_path == (2.0, 2.0, 2.0, 2.0)
+        assert share_ug(s, 8) == (2.0, 2.0, 2.0, 2.0)
 
     def test_zero_total(self):
-        assert share_ug(TWIN, 0).per_path == (0.0, 0.0)
+        assert share_ug(TWIN, 0) == (0.0, 0.0)
 
 
 class TestDelayEqualizing:
     def test_identical_paths_alternate(self):
-        assert share_re(TWIN, 6).per_path == (3.0, 3.0)
+        assert share_re(TWIN, 6) == (3.0, 3.0)
 
     def test_low_delay_path_fills_first(self):
-        assert share_re(TWO_PATH, 5).per_path == (5.0, 0.0)
+        assert share_re(TWO_PATH, 5) == (5.0, 0.0)
 
     def test_split_after_slow_path_turnover_matches(self):
         # The fast path holds the allocation until draining it takes longer
         # than the slow path's propagation floor (62/256.36 ≈ 0.2418 > 0.24 s).
-        assert share_re(TWO_PATH, 70).per_path == (62.0, 8.0)
+        assert share_re(TWO_PATH, 70) == (62.0, 8.0)
 
 
 class TestPendingWeighted:
     def test_identical_paths_split_evenly(self):
-        assert share_cf(TWIN, 10).per_path == (5.0, 5.0)
+        assert share_cf(TWIN, 10) == (5.0, 5.0)
 
     def test_single_path_takes_everything(self):
         s = Scenario((PathSpec(0.02, 10e6, 20),))
-        assert share_cf(s, 17).per_path == (17.0,)
+        assert share_cf(s, 17) == (17.0,)
 
     def test_sqrt_rtt_ratio_in_delay_dominated_regime(self):
         # While both pending counts sit below their propagation floors
         # (p1 <= 10 and p2 <= 61 here) the allocation settles at
         # P2/P1 = sqrt(RTT2/RTT1); larger windows push path 1 into the
         # bandwidth-limited regime and the ratio drifts off.
-        p1, p2 = share_cf(TWO_PATH, 31).per_path
+        p1, p2 = share_cf(TWO_PATH, 31)
         want = math.sqrt(0.240 / 0.040)
         assert p2 / p1 == pytest.approx(want, rel=0.05)
 
 
 class TestCapacityFilling:
     def test_fast_pipe_fills_to_capacity_then_spills(self):
-        assert share_fpf(TWO_PATH, 40).per_path == (30.0, 10.0)
+        assert share_fpf(TWO_PATH, 40) == (30.0, 10.0)
 
     def test_below_capacity_everything_on_fast_pipe(self):
-        assert share_fpf(TWO_PATH, 20).per_path == (20.0, 0.0)
+        assert share_fpf(TWO_PATH, 20) == (20.0, 0.0)
 
     def test_total_capacity_fills_both(self):
-        assert share_fpf(TWO_PATH, 111).per_path == (30.0, 81.0)
+        assert share_fpf(TWO_PATH, 111) == (30.0, 81.0)
 
     def test_overflow_beyond_total_capacity_is_allowed(self):
         total = share_fpf(TWO_PATH, 120)
-        assert sum(total.per_path) == 120
+        assert sum(total) == 120
         caps = [pipeline_capacity(p, rate_msgs(TWO_PATH, i))
                 for i, p in enumerate(TWO_PATH.paths)]
-        assert any(x > c for x, c in zip(total.per_path, caps))
+        assert any(x > c for x, c in zip(total, caps))
 
 
 class TestLookup:
     def test_every_strategy_is_wired(self):
         for s in StrategyId:
-            fn = sharing_function(s)
-            vec = fn(TWO_PATH, 12)
-            assert vec.total == 12
-            assert sum(vec.per_path) == pytest.approx(12)
+            vec = sharing_function(s)(TWO_PATH, 12)
+            assert len(vec) == len(TWO_PATH.paths)
+            assert sum(vec) == pytest.approx(12)
 
-    def test_lookup_returns_distinct_callables_for_pe_and_ug(self):
-        assert sharing_function(StrategyId.PE) is share_pe
-        assert sharing_function(StrategyId.UG) is share_ug
+
+def test_sharing_imports_only_from_core():
+    # Both engines sit on the strategies, so sharing reaches no further down
+    # the package than core: nothing from model, sim or cli.
+    src = Path(__file__).resolve().parents[1] / "src" / "icnflow" / "sharing.py"
+    tree = ast.parse(src.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "core"), ast.unparse(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names])
+            assert not any(n.split(".")[0] == "icnflow" for n in names), \
+                ast.unparse(node)
