@@ -11,6 +11,7 @@ cycle's message total over the cycle's duration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (Scenario, StrategyId, pipeline_capacity, rate_msgs, rtt,
                    validate)
@@ -86,12 +87,22 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
 
 
 def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
-    """Steady-state statistics of one halving-to-peak window cycle."""
+    """Steady-state statistics of one halving-to-peak window cycle.
+
+    Each window w_lo..w_hi is one round.  pe/ug split every window evenly;
+    re/cf/fpf read window w as step w of one placement walk (linear in w_max).
+    """
     w_hi = wmax(scenario, strategy)
     # The halved window never drops below one Interest, so a cycle on a
     # one-Interest peak is the single round w == 1, not an empty round.
     w_lo = max(1, w_hi // 2)
-    share = sharing_function(strategy)
+    windows = range(w_lo, w_hi + 1)
+    if strategy in (StrategyId.PE, StrategyId.UG):
+        share = sharing_function(strategy)
+        allocations = (share(scenario, w) for w in windows)
+    else:
+        allocations = (tuple(float(f.pending) for f in faces) for faces in
+                       islice(placements(scenario, strategy), w_lo, w_hi + 1))
     n = len(scenario.paths)
     paths = scenario.paths
     rates = [rate_msgs(scenario, i) for i in range(n)]
@@ -99,8 +110,7 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
     rounds = []
     t_total = 0
     a_total = 0.0
-    for w in range(w_lo, w_hi + 1):
-        per = share(scenario, w)
+    for w, per in zip(windows, allocations):
         per_rate = tuple(per[i] / rtt(paths[i], per[i], rates[i])
                          for i in range(n))
         b_k = sum(per_rate)

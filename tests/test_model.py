@@ -6,10 +6,14 @@ import pytest
 
 from icnflow import (ModelError, PathSpec, Scenario, SimConfig, StrategyId,
                      cycle, pipeline_capacity, rate_msgs, scenario_with, wmax)
+from icnflow import sharing
 from icnflow.cli import ExperimentSpec, SweepSpec, run_experiment
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
+# One-way delays 10, 20, ..., 80 ms at 6.25 Mbit/s with 12-message buffers:
+# the benchmark's wide_model scenario at seed 0.
+EIGHT = Scenario(tuple(PathSpec(0.010 * k, 6.25e6, 12) for k in range(1, 9)))
 
 
 class TestWmax:
@@ -85,18 +89,46 @@ class TestWmax:
 
 class TestCycle:
     def test_eight_path_cycle_is_pinned(self):
-        # One-way delays 10, 20, ..., 80 ms at 6.25 Mbit/s with 12-message
-        # buffers: the benchmark's wide_model scenario at seed 0.
-        eight = Scenario(tuple(PathSpec(0.010 * k, 6.25e6, 12)
-                               for k in range(1, 9)))
         pinned = {StrategyId.PE: (120, 978.4068587278767),
                   StrategyId.UG: (120, 978.4068587278767),
                   StrategyId.RE: (60, 563.4347820777265),
                   StrategyId.CF: (132, 1064.7304290842337),
                   StrategyId.FPF: (208, 1142.6283374953562)}
         for s, want in pinned.items():
-            cs = cycle(eight, s)
+            cs = cycle(EIGHT, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
+
+    def test_sixteen_path_cycle_is_pinned(self):
+        # A larger bandwidth-delay product: one-way delays 10, 20, ...,
+        # 160 ms at 25 Mbit/s with 25-message buffers.
+        sixteen = Scenario(tuple(PathSpec(0.010 * k, 25e6, 25)
+                                 for k in range(1, 17)))
+        pinned = {StrategyId.PE: (592, 3885.4832161332874),
+                  StrategyId.UG: (592, 3885.4832161332874),
+                  StrategyId.RE: (74, 1215.2046894048874),
+                  StrategyId.CF: (997, 5367.179947800232),
+                  StrategyId.FPF: (2135, 8809.281569256887)}
+        for s, want in pinned.items():
+            cs = cycle(sixteen, s)
+            assert (cs.w_max, cs.y_msgs_per_s) == want, s
+
+    def test_cycle_work_is_linear_in_w_max(self, monkeypatch):
+        # wmax() walks to its first overflow (w_max + 2 states) and cycle()
+        # reads windows up to w_max from one more walk (w_max + 1 states);
+        # rebuilding every window from zero would draw O(w_max^2) states.
+        drawn = [0]
+        real = sharing.placements
+
+        def counted(scenario, strategy):
+            for faces in real(scenario, strategy):
+                drawn[0] += 1
+                yield faces
+        monkeypatch.setattr("icnflow.model.placements", counted)
+        monkeypatch.setattr("icnflow.sharing.placements", counted)
+        for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
+            drawn[0] = 0
+            cs = cycle(EIGHT, s)
+            assert 0 < drawn[0] <= 2 * (cs.w_max + 2), (s, drawn[0])
 
     def test_even_split_on_twin_paths(self):
         cs = cycle(TWIN, StrategyId.PE)

@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 import _oracle
 from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
                      LOSS_TIMEOUT, ModelError, PathSpec, Scenario, SimConfig,
-                     StrategyId, cycle, pipeline_capacity, rate_msgs, run,
-                     sharing_function, wmax)
+                     StrategyId, cycle, pipeline_capacity, rate_msgs, rtt,
+                     run, sharing_function, wmax)
 from icnflow.sharing import FaceState, picker
 
 EXAMPLES = {
@@ -27,6 +27,7 @@ EXAMPLES = {
     "allocation_differential": 300,
     "wmax_boundary": 200,
     "cycle_identities": 100,
+    "cycle_rounds": 150,
     "sim_conservation": 30,
     "sim_determinism": 20,
     "selector_differential": 400,
@@ -182,6 +183,40 @@ def test_cycle_identities_and_permutation_symmetry(scen, strat):
         back = cycle(flipped, strat)
         assert back.w_max == cs.w_max
         assert math.isclose(back.y_msgs_per_s, cs.y_msgs_per_s, rel_tol=1e-9)
+
+
+@settings(max_examples=EXAMPLES["cycle_rounds"], deadline=None,
+          derandomize=True)
+@given(st.lists(_POOL_PATH, min_size=1, max_size=4), st.data(),
+       st.sampled_from([4876, 1250]), ALL_STRATEGIES)
+def test_cycle_rounds_are_the_per_window_allocations(pool, data, msg_bytes,
+                                                     strat):
+    # cycle() reads its windows from one walk; each round must still be the
+    # allocation rebuilt from zero at that window, and its rates follow
+    # from it bit for bit.  A rebuild costs w_k placement steps, so a cycle
+    # of more than 200 rounds is rebuilt at an even sample of about 200 of
+    # them, its first and last included.
+    scen = Scenario(tuple(pool[k] for k in data.draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=1, max_size=6))), msg_bytes,
+        msg_bytes - 780)
+    try:
+        cs = cycle(scen, strat)
+    except ModelError:
+        return
+    assert [r.w_k for r in cs.rounds] == list(
+        range(max(1, cs.w_max // 2), cs.w_max + 1))
+    share = sharing_function(strat)
+    rates = [rate_msgs(scen, i) for i in range(len(scen.paths))]
+    n = len(cs.rounds)
+    rebuilt = set(range(0, n, -(-n // 200))) | {n - 1}
+    for k, r in enumerate(cs.rounds):
+        if k in rebuilt:
+            assert r.per_path_pending == share(scen, r.w_k)
+        assert r.per_path_rate == tuple(
+            x / rtt(p, x, rate)
+            for p, x, rate in zip(scen.paths, r.per_path_pending, rates))
+        assert r.b_k == sum(r.per_path_rate)
+        assert r.x_k == r.w_k / r.b_k
 
 
 # --------------------------------------------------------------------------
