@@ -22,7 +22,7 @@ path, in order:
     output = out/delays
 
 Results land in `<output>-rates.csv` (one row per sweep point, strategy and
-source) and, for traced single-point runs, `<output>-window-<strategy>.csv`.
+source) and, under `icnflow trace`, `<output>-window-<strategy>.csv`.
 All delays in these files are milliseconds and all rates Mbit/s; the library
 underneath works in seconds and bits/s.
 """
@@ -30,7 +30,6 @@ underneath works in seconds and bits/s.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -40,8 +39,8 @@ from .core import (PathSpec, Scenario, StrategyId, scenario_with, validate)
 from .model import ModelError, cycle
 from .sim import SimConfig, run, validate_config
 
-_RATES_HEADER = ["sweep_value", "strategy", "source", "y_msgs_per_s",
-                 "y_gross_mbps", "y_net_mbps", "w_max_or_peak"]
+_RATES_HEADER = ("sweep_value,strategy,source,y_msgs_per_s,y_gross_mbps,"
+                 "y_net_mbps,w_max_or_peak\n")
 
 _PATH_KEYS = ("delay_ms", "rate_mbps", "buffer_msgs")
 _SWEEP_KEYS = ("path", "param", "from", "to", "step")
@@ -81,15 +80,6 @@ class ExperimentSpec:
     sweep: SweepSpec | None
     sim: SimConfig
     output: str               # file prefix for the CSVs
-
-
-def _parse_bool(text):
-    t = text.lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def load_experiment(path: str) -> ExperimentSpec:
@@ -222,9 +212,7 @@ def load_experiment(path: str) -> ExperimentSpec:
                    initial_window=("sim.initial_window", int),
                    seed=("sim.seed", int),
                    loss_signal=("sim.loss_signal", str),
-                   fpf_capacity_mode=("sim.fpf_capacity_mode", str),
-                   rtt_smoothing_alpha=("sim.rtt_alpha", float),
-                   trace_window=("sim.trace_window", _parse_bool))
+                   fpf_capacity_mode=("sim.fpf_capacity_mode", str))
     if "duration" not in sim_kw and "total_chunks" not in sim_kw:
         sim_kw["duration"] = _DEFAULT_DURATION_S
     sim_cfg = SimConfig(**sim_kw)
@@ -299,16 +287,15 @@ def run_experiment(spec: ExperimentSpec) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
+    # Each file is one write of the rows csv.writer would give: no field
+    # ever needs quoting (_fmt numbers, integers, strategy tokens,
+    # model/sim, and an empty sweep tag only in a multi-field row).
     rates_path = f"{spec.output}-rates.csv"
     with open(rates_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_RATES_HEADER)
-        writer.writerows(rows)
+        fh.write(_RATES_HEADER + "".join([",".join(r) + "\n" for r in rows]))
 
     for token, trace in traces.items():
         trace_path = f"{spec.output}-window-{token}.csv"
-        # One write of the rows csv.writer and _fmt give: neither field
-        # ever needs quoting.
         with open(trace_path, "w", newline="", encoding="utf-8") as fh:
             fh.write("time_s,window\n"
                      + "".join([f"{t:.12g},{w}\n" for t, w in trace]))

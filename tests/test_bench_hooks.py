@@ -1,5 +1,6 @@
-"""The benchmark's tracer patches names inside the package; a change under
-src/ that removes one of them should fail here, not only in a bench run."""
+"""The benchmark patches, imports and builds names inside the package; a
+change under src/ that removes one of them should fail here, not only in a
+bench run."""
 
 import importlib
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import icnflow.cli as cli
 import icnflow.model as model
 import icnflow.sharing as sharing
+from icnflow.sim import validate_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -21,3 +23,16 @@ def test_layer_tracer_installs_and_restores_every_hook(monkeypatch):
         assert all(getattr(m, name) is not fn
                    for (m, name), fn in zip(hooks, before))
     assert [getattr(m, name) for m, name in hooks] == before
+
+
+def test_every_workload_builds_from_the_package(monkeypatch, tmp_path):
+    # The names bench/run.py imports, and each workload's specs as the
+    # self-test builds them (a SimConfig field they set must still exist).
+    from icnflow.core import PathSpec, Scenario, StrategyId, rate_msgs, rtt  # noqa: F401
+    from icnflow.sim import FaceState, SimConfig, select_face  # noqa: F401
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        plan = workloads.build(name, 0, tmp_path, tiny=True)
+        assert plan.specs, name
+        assert all(validate_config(spec.sim) == [] for spec in plan.specs), name

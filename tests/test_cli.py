@@ -64,15 +64,20 @@ class TestLoad:
         assert len(near) == 46
         assert near[0] == 67.73 and near[-1] == 68.63
 
-    def test_unknown_key_reports_line_number(self, tmp_path):
+    # The window trace is the trace command's, and the RTT gain is fixed,
+    # so neither has a file key.
+    @pytest.mark.parametrize("key, value", [
+        ("colour", "blue"), ("sim.trace_window", "true"),
+        ("sim.rtt_alpha", "0.25")], ids=["colour", "trace_window", "rtt_alpha"])
+    def test_unknown_key_reports_line_number(self, tmp_path, key, value):
         path = _write(tmp_path, "path.delay_ms = 20\n"
                                 "path.rate_mbps = 10\n"
                                 "path.buffer_msgs = 20\n"
                                 "strategies = pe\n"
-                                "colour = blue\n")
+                                f"{key} = {value}\n")
         with pytest.raises(ExperimentError) as e:
             load_experiment(path)
-        assert any("line 5" in p and "colour" in p for p in e.value.problems)
+        assert e.value.problems == [f"line 5: unknown key {key!r}"]
 
     def test_unknown_strategy_token_is_named(self, tmp_path):
         path = _write(tmp_path, "path.delay_ms = 20\n"
@@ -124,14 +129,12 @@ class TestLoad:
 
     @pytest.mark.parametrize("lines, want", [
         ("sim.total_chunks = 500\nsim.seed = 7\nsim.initial_window = 4\n"
-         "sim.loss_signal = timeout\nsim.fpf_capacity_mode = estimated\n"
-         "sim.rtt_alpha = 0.25\nsim.trace_window = yes\n",
+         "sim.loss_signal = timeout\nsim.fpf_capacity_mode = estimated\n",
          SimConfig(total_chunks=500, seed=7, initial_window=4,
                    loss_signal=LOSS_TIMEOUT,
-                   fpf_capacity_mode=FPF_CAP_ESTIMATED,
-                   rtt_smoothing_alpha=0.25, trace_window=True)),
+                   fpf_capacity_mode=FPF_CAP_ESTIMATED)),
         ("sim.duration_s = 12\nsim.loss_signal = oracle-immediate\n"
-         "sim.fpf_capacity_mode = oracle\nsim.trace_window = off\n",
+         "sim.fpf_capacity_mode = oracle\n",
          SimConfig(duration=12.0)),
         ("", SimConfig(duration=30.0)),
     ])
@@ -217,10 +220,9 @@ class TestRun:
         path = _write(tmp_path,
                       "path.delay_ms = 20\npath.rate_mbps = 10\n"
                       "path.buffer_msgs = 20\n"
-                      "strategies = pe\nmode = sim\n"
-                      "sim.duration_s = 3\nsim.trace_window = true\n"
+                      "strategies = pe\nmode = sim\nsim.duration_s = 3\n"
                       f"output = {tmp_path / 'tr'}\n")
-        assert run_experiment(load_experiment(path)) == 0
+        assert main(["trace", "--experiment", path]) == 0
         with open(tmp_path / "tr-window-pe.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["time_s", "window"]
@@ -312,7 +314,8 @@ class TestPinnedOutput:
     def test_seeded_timeout_trace_with_estimated_capacities_is_pinned(
             self, tmp_path):
         _run_shipped(tmp_path, "window_trace", "trace", seed=1,
-                     loss_signal="timeout", fpf_capacity_mode="estimated")
+                     loss_signal="timeout", fpf_capacity_mode="estimated",
+                     trace_window=True)
         for name in ("trace-rates.csv", "trace-window-fpf.csv",
                      "trace-window-pe.csv"):
             assert _sha256(tmp_path / name) == _PINNED_SHA256[name], name

@@ -33,8 +33,6 @@ class TestConfigValidation:
         assert validate_config(SimConfig(duration=-1.0)) != []
         assert validate_config(SimConfig(duration=1.0, initial_window=0)) != []
         assert validate_config(SimConfig(duration=1.0,
-                                         rtt_smoothing_alpha=0.0)) != []
-        assert validate_config(SimConfig(duration=1.0,
                                          loss_signal="carrier-pigeon")) != []
 
     def test_infinite_and_fractional_values_are_rejected(self):
