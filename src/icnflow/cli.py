@@ -2,8 +2,8 @@
 
 An experiment file describes a scenario, the strategies to run, an optional
 one-parameter sweep and the simulator settings, one `key = value` per line
-('#' starts a comment).  Path blocks repeat the three `path.*` keys once per
-path, in order:
+('#' starts a comment).  The three `path.*` keys come once per path, in
+order; a path key already set in the current path block opens the next one:
 
     path.delay_ms = 20          # one-way delay, milliseconds
     path.rate_mbps = 10         # bottleneck rate, Mbit/s
@@ -42,9 +42,9 @@ from .sim import SimConfig, run, validate_config
 _RATES_HEADER = ("sweep_value,strategy,source,y_msgs_per_s,y_gross_mbps,"
                  "y_net_mbps,w_max_or_peak\n")
 
-_PATH_KEYS = ("delay_ms", "rate_mbps", "buffer_msgs")
-_SWEEP_KEYS = ("path", "param", "from", "to", "step")
 _DEFAULT_DURATION_S = 30.0  # when the file sets neither stop condition
+_MAX_SWEEP_POINTS = 10_000  # a longer sweep is refused, never built
+_BAD = object()             # a value its converter rejected (and reported)
 
 
 class ExperimentError(Exception):
@@ -63,13 +63,23 @@ class SweepSpec:
     stop: float
     step: float
 
+    def count(self) -> int:
+        """Number of sweep points, both endpoints included; ValueError, with
+        nothing built, unless that is 1 to _MAX_SWEEP_POINTS."""
+        if not self.step > 0:
+            raise ValueError(f"sweep.step must be > 0, got {self.step}")
+        # The 1e-9 of slack is absolute, in sweep units, so it goes on `stop`
+        # before dividing: after the division it would shrink with the step
+        # and drop endpoints that float dust put just past `stop`.
+        steps = (self.stop + 1e-9 - self.start) / self.step
+        if not 0 <= steps < _MAX_SWEEP_POINTS:  # an infinite span fails too
+            raise ValueError(f"sweep {self.start}..{self.stop} by {self.step} "
+                             f"must have 1 to {_MAX_SWEEP_POINTS} points")
+        return math.floor(steps) + 1
+
     def values(self):
-        # Both endpoints.  The 1e-9 of slack is absolute, in sweep units, so
-        # it goes on `stop` before dividing: after the division it would
-        # shrink with the step and drop endpoints that float dust put just
-        # past `stop`.
-        count = math.floor((self.stop + 1e-9 - self.start) / self.step) + 1
-        return [round(self.start + k * self.step, 12) for k in range(count)]
+        return [round(self.start + k * self.step, 12)
+                for k in range(self.count())]
 
 
 @dataclass(frozen=True)
@@ -82,163 +92,140 @@ class ExperimentSpec:
     output: str               # file prefix for the CSVs
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
+def _one_of(*choices):
+    def convert(raw):
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, "
+                             f"got {raw!r}")
+        return raw
+    return convert
+
+
+_strategy_token = _one_of(*(s.token for s in StrategyId))
+
+
+def _strategies(raw):
+    tokens = [_strategy_token(t.strip()) for t in raw.split(",")]
+    if len(set(tokens)) < len(tokens):
+        raise ValueError(f"a strategy is listed twice in {raw!r}")
+    return tuple(map(StrategyId, tokens))
+
+
+# File key -> (what it sets, field name there, converter).  Path delays and
+# rates go from ms and Mbit/s to the library's seconds and bits/s here.
+_KEYS = {
+    "path.delay_ms": ("path", "delay", lambda raw: float(raw) / 1e3),
+    "path.rate_mbps": ("path", "rate_bps", lambda raw: float(raw) * 1e6),
+    "path.buffer_msgs": ("path", "buffer_msgs", int),
+    "data_msg_bytes": ("scenario", "data_msg_bytes", int),
+    "payload_bytes": ("scenario", "payload_bytes", int),
+    "strategies": ("spec", "strategies", _strategies),
+    "mode": ("spec", "mode", _one_of("model", "sim", "both")),
+    "output": ("spec", "output", str),
+    "sweep.path": ("sweep", "path_index", int),
+    "sweep.param": ("sweep", "param", _one_of("delay_ms", "rate_mbps")),
+    "sweep.from": ("sweep", "start", _finite),
+    "sweep.to": ("sweep", "stop", _finite),
+    "sweep.step": ("sweep", "step", _finite),
+    "sim.duration_s": ("sim", "duration", float),
+    "sim.total_chunks": ("sim", "total_chunks", int),
+    "sim.initial_window": ("sim", "initial_window", int),
+    "sim.seed": ("sim", "seed", int),
+    "sim.loss_signal": ("sim", "loss_signal", str),
+    "sim.fpf_capacity_mode": ("sim", "fpf_capacity_mode", str),
+}
+
+
 def load_experiment(path: str) -> ExperimentSpec:
     """Parse and validate one experiment file; raises ExperimentError with
     every problem found (line numbers included)."""
     problems = []
-    path_blocks = []   # list of {key: (lineno, raw)}
-    block = {}
-    flat = {}          # top-level key -> (lineno, raw)
+    blocks = []  # one {field: value} per path, in file order
+    found = {"scenario": {}, "spec": {}, "sweep": {}, "sim": {}}
 
     with open(path, encoding="utf-8") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if not eq:
                 problems.append(f"line {lineno}: expected key = value, got {line!r}")
                 continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key.startswith("path."):
-                sub = key[len("path."):]
-                if sub not in _PATH_KEYS:
-                    problems.append(f"line {lineno}: unknown path key {key!r}")
-                    continue
-                if sub in block:  # a repeated path key opens the next path
-                    path_blocks.append(block)
-                    block = {}
-                block[sub] = (lineno, value)
+            if key not in _KEYS:
+                problems.append(f"line {lineno}: unknown key {key!r}")
+                continue
+            group, field, convert = _KEYS[key]
+            if group == "path":
+                if not blocks or field in blocks[-1]:
+                    blocks.append({})  # the key is set already: next path
+                into = blocks[-1]
             else:
-                if key in flat:
+                into = found[group]
+                if field in into:
                     problems.append(f"line {lineno}: duplicate key {key!r}")
                     continue
-                flat[key] = (lineno, value)
-    if block:
-        path_blocks.append(block)
-
-    def take(key, convert, default):
-        if key not in flat:
-            return default
-        lineno, raw = flat.pop(key)
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            problems.append(f"line {lineno}: bad value for {key}: {exc}")
-            return default
-
-    def given(**keys):
-        # Keywords for the keys the file sets and that parse, so Scenario
-        # and SimConfig own every default (no converter returns None).
-        kw = {field: take(key, conv, None) for field, (key, conv) in keys.items()}
-        return {field: v for field, v in kw.items() if v is not None}
-
-    # paths (ms / Mbps at this boundary, SI below)
-    paths = []
-    for idx, blk in enumerate(path_blocks):
-        vals = {}
-        for sub, conv in (("delay_ms", float), ("rate_mbps", float),
-                          ("buffer_msgs", int)):
-            if sub not in blk:
-                problems.append(f"path {idx}: missing path.{sub}")
-                continue
-            lineno, raw = blk[sub]
             try:
-                vals[sub] = conv(raw)
+                if not value:  # no key takes an empty value
+                    raise ValueError("empty")
+                into[field] = convert(value)
             except ValueError as exc:
-                problems.append(f"line {lineno}: bad value for path.{sub}: {exc}")
-        if len(vals) == 3:
-            paths.append(PathSpec(delay=vals["delay_ms"] / 1e3,
-                                  rate_bps=vals["rate_mbps"] * 1e6,
-                                  buffer_msgs=vals["buffer_msgs"]))
-    if not path_blocks:
-        problems.append("no path.* blocks found")
+                into[field] = _BAD
+                problems.append(f"line {lineno}: bad value for {key}: {exc}")
 
-    scenario = Scenario(tuple(paths), **given(
-        data_msg_bytes=("data_msg_bytes", int),
-        payload_bytes=("payload_bytes", int)))
+    def complete(group, kw, where):
+        # Reports `group`'s keys missing from `kw`; true if none is, nor bad.
+        missing = [key for key, (g, field, _) in _KEYS.items()
+                   if g == group and field not in kw]
+        if missing:
+            problems.append(f"{where}: missing {', '.join(missing)}")
+        return not missing and _BAD not in kw.values()
 
-    strategies = []
-    if "strategies" in flat:
-        lineno, raw = flat.pop("strategies")
-        for token in (s.strip() for s in raw.split(",")):
-            try:
-                strategies.append(StrategyId(token))
-            except ValueError:
-                problems.append(f"line {lineno}: unknown strategy {token!r} "
-                                f"(expected one of pe, re, ug, cf, fpf)")
-    else:
+    # Objects get just the fields the file sets (their classes own defaults);
+    # they are checked whole only if all converted, so nothing is said twice.
+    paths = tuple(PathSpec(**blk) for idx, blk in enumerate(blocks)
+                  if complete("path", blk, f"path {idx}"))
+    scenario = Scenario(paths, **found["scenario"])
+    if len(paths) == len(blocks) and _BAD not in found["scenario"].values():
+        problems.extend(validate(scenario))
+
+    if "strategies" not in found["spec"]:
         problems.append("missing key: strategies")
 
-    mode = take("mode", str, "both")
-    if mode not in ("model", "sim", "both"):
-        problems.append(f"mode must be model, sim or both, got {mode!r}")
-
     sweep = None
-    sweep_present = [k for k in _SWEEP_KEYS if f"sweep.{k}" in flat]
-    if sweep_present:
-        missing = [k for k in _SWEEP_KEYS if f"sweep.{k}" not in flat]
-        if missing:
-            problems.append("incomplete sweep section, missing: "
-                            + ", ".join(f"sweep.{k}" for k in missing))
-        p_idx = take("sweep.path", int, 0)
-        param = take("sweep.param", str, "delay_ms")
-        start = take("sweep.from", float, 0.0)
-        stop = take("sweep.to", float, 0.0)
-        step = take("sweep.step", float, 1.0)
-        ok = not missing
-        if param not in ("delay_ms", "rate_mbps"):
-            problems.append(f"sweep.param must be delay_ms or rate_mbps, got {param!r}")
-            ok = False
-        if paths and not 0 <= p_idx < len(paths):
-            problems.append(f"sweep.path {p_idx} out of range (have {len(paths)} paths)")
-            ok = False
-        for key, value in (("from", start), ("to", stop), ("step", step)):
-            if not math.isfinite(value):
-                problems.append(f"sweep.{key} must be finite, got {value}")
-                ok = False
-        if step <= 0:
-            problems.append(f"sweep.step must be > 0, got {step}")
-            ok = False
-        if stop < start:
-            problems.append(f"sweep.to ({stop}) is below sweep.from ({start})")
-            ok = False
-        if ok:
-            sweep = SweepSpec(p_idx, param, start, stop, step)
+    if found["sweep"] and complete("sweep", found["sweep"], "sweep"):
+        sweep = SweepSpec(**found["sweep"])
+        if blocks and not 0 <= sweep.path_index < len(blocks):
+            problems.append(f"sweep.path {sweep.path_index} out of range "
+                            f"(have {len(blocks)} paths)")
+        try:
+            sweep.count()
+        except ValueError as exc:
+            problems.append(str(exc))
 
-    sim_kw = given(duration=("sim.duration_s", float),
-                   total_chunks=("sim.total_chunks", int),
-                   initial_window=("sim.initial_window", int),
-                   seed=("sim.seed", int),
-                   loss_signal=("sim.loss_signal", str),
-                   fpf_capacity_mode=("sim.fpf_capacity_mode", str))
+    sim_kw = found["sim"]
     if "duration" not in sim_kw and "total_chunks" not in sim_kw:
         sim_kw["duration"] = _DEFAULT_DURATION_S
     sim_cfg = SimConfig(**sim_kw)
+    if _BAD not in sim_kw.values():
+        problems.extend(validate_config(sim_cfg))
 
-    output = take("output", str, "out/experiment")
-
-    for key, (lineno, _) in flat.items():
-        problems.append(f"line {lineno}: unknown key {key!r}")
-
-    problems.extend(validate(scenario))
-    problems.extend(validate_config(sim_cfg))
     if problems:
         raise ExperimentError(problems)
-    return ExperimentSpec(scenario, tuple(strategies), mode, sweep,
-                          sim_cfg, output)
+    spec = {"mode": "both", "output": "out/experiment", **found["spec"]}
+    return ExperimentSpec(scenario=scenario, sweep=sweep, sim=sim_cfg, **spec)
 
 
 def _fmt(x):
     return f"{x:.12g}"
-
-
-def _sweep_si(param, value):
-    # human sweep units -> library units
-    if param == "delay_ms":
-        return "delay", value / 1e3
-    return "rate", value * 1e6
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
@@ -255,9 +242,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
             scen = spec.scenario
             tag = ""
         else:
-            param, si_value = _sweep_si(spec.sweep.param, value)
+            _, _, to_si = _KEYS["path." + spec.sweep.param]  # to s or bit/s
             scen = scenario_with(spec.scenario, spec.sweep.path_index,
-                                 param, si_value)
+                                 spec.sweep.param.split("_")[0], to_si(value))
             tag = _fmt(value)
         for strat in spec.strategies:
             if spec.mode in ("model", "both"):
@@ -367,13 +354,10 @@ def main(argv=None) -> int:
             print(f"experiment error: {p}", file=sys.stderr)
         return 2
 
-    if args.command == "model":
-        spec = replace(spec, mode="model", sweep=None)
-    elif args.command == "sim":
-        spec = replace(spec, mode="sim", sweep=None)
-    elif args.command == "trace":
-        spec = replace(spec, mode="sim", sweep=None,
-                       sim=replace(spec.sim, trace_window=True))
+    if args.command != "sweep":
+        mode = "model" if args.command == "model" else "sim"
+        sim = replace(spec.sim, trace_window=args.command == "trace")
+        spec = replace(spec, mode=mode, sweep=None, sim=sim)
     elif spec.sweep is None:
         print("experiment error: the sweep command needs a sweep.* section",
               file=sys.stderr)

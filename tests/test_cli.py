@@ -13,8 +13,9 @@ import pytest
 
 from icnflow import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, PathSpec, Scenario,
                      SimConfig, SimResult, StrategyId)
-from icnflow.cli import (ExperimentError, ExperimentSpec, SweepSpec, _fmt,
-                         load_experiment, main, run_experiment)
+from icnflow.cli import (_KEYS, _MAX_SWEEP_POINTS, ExperimentError,
+                         ExperimentSpec, SweepSpec, _fmt, load_experiment,
+                         main, run_experiment)
 
 HERE = os.path.dirname(__file__)
 EXPERIMENTS = os.path.join(HERE, "..", "experiments")
@@ -32,6 +33,32 @@ path.buffer_msgs = 20
 strategies = pe
 mode = model
 output = {out}
+"""
+
+# Every key the loader knows, with a value other than its default; {stop} is
+# one of the two stop conditions.
+EVERY_KEY = """
+path.delay_ms = 20
+path.rate_mbps = 10
+path.buffer_msgs = 20
+path.delay_ms = 120
+path.rate_mbps = 2.5
+path.buffer_msgs = 7
+data_msg_bytes = 1500
+payload_bytes = 1400
+strategies = fpf,pe
+mode = sim
+sweep.path = 1
+sweep.param = rate_mbps
+sweep.from = 1
+sweep.to = 3
+sweep.step = 0.5
+{stop}
+sim.initial_window = 4
+sim.seed = 9
+sim.loss_signal = timeout
+sim.fpf_capacity_mode = estimated
+output = runs/every
 """
 
 
@@ -144,6 +171,66 @@ class TestLoad:
         spec = load_experiment(_write(tmp_path, MINIMAL.format(out="o") + lines))
         assert spec.sim == want
         assert spec.scenario == Scenario(spec.scenario.paths)
+
+    @pytest.mark.parametrize("stop, sim", [
+        ("sim.duration_s = 12.5", {"duration": 12.5}),
+        ("sim.total_chunks = 800", {"total_chunks": 800})],
+        ids=["duration", "total_chunks"])
+    def test_every_key_builds_the_expected_spec(self, tmp_path, stop, sim):
+        spec = load_experiment(_write(tmp_path, EVERY_KEY.format(stop=stop)))
+        assert spec == ExperimentSpec(
+            Scenario((PathSpec(20 / 1e3, 10 * 1e6, 20),
+                      PathSpec(120 / 1e3, 2.5 * 1e6, 7)), 1500, 1400),
+            (StrategyId.FPF, StrategyId.PE), "sim",
+            SweepSpec(1, "rate_mbps", 1.0, 3.0, 0.5),
+            SimConfig(initial_window=4, seed=9, loss_signal=LOSS_TIMEOUT,
+                      fpf_capacity_mode=FPF_CAP_ESTIMATED, **sim),
+            "runs/every")
+
+    def test_every_key_file_covers_the_key_table(self):
+        # A key added to the loader must be added to EVERY_KEY too.
+        text = EVERY_KEY.format(stop="sim.duration_s = 1\nsim.total_chunks = 1")
+        assert {line.split("=")[0].strip()
+                for line in text.splitlines() if line} == set(_KEYS)
+
+    def test_sweep_past_the_point_bound_is_rejected_unbuilt(self, tmp_path,
+                                                            monkeypatch):
+        def build(self):
+            raise AssertionError("the sweep's values were built")
+        monkeypatch.setattr(SweepSpec, "values", build)
+        path = _write(tmp_path, MINIMAL.format(out="o")
+                      + "sweep.path = 0\nsweep.param = delay_ms\n"
+                        "sweep.from = 0\nsweep.to = 1e6\nsweep.step = 1e-9\n")
+        with pytest.raises(ExperimentError) as e:
+            load_experiment(path)
+        assert len(e.value.problems) == 1
+        assert f"{_MAX_SWEEP_POINTS} points" in e.value.problems[0]
+        # The bound itself is allowed, one more point is not.
+        at_bound = SweepSpec(0, "delay_ms", 1, _MAX_SWEEP_POINTS, 1)
+        assert at_bound.count() == _MAX_SWEEP_POINTS
+        with pytest.raises(ValueError):
+            replace(at_bound, stop=_MAX_SWEEP_POINTS + 1).count()
+        with pytest.raises(ValueError):  # a span past the float range
+            SweepSpec(0, "delay_ms", -1e308, 1e308, 1).count()
+
+    # One fault in the file is one problem: a path problem is not reported
+    # again as an empty or misnumbered path list.
+    @pytest.mark.parametrize("text, want", [
+        ("strategies = pe\n", "empty path list"),
+        ("path.delay_ms = 20\npath.rate_mbps = ten\npath.buffer_msgs = 20\n"
+         "strategies = pe\n", "line 2: bad value for path.rate_mbps"),
+        ("path.delay_ms = 20\npath.rate_mbps = 10\nstrategies = pe\n",
+         "path 0: missing path.buffer_msgs"),
+        (MINIMAL.format(out="o").replace("= pe", "= pe,re,pe"),
+         "line 5: bad value for strategies: a strategy is listed twice"),
+        (MINIMAL.format(out=""), "line 7: bad value for output: empty")],
+        ids=["no_path", "bad_path_value", "missing_path_key",
+             "repeated_strategy", "empty_output"])
+    def test_one_fault_is_one_problem(self, tmp_path, text, want):
+        with pytest.raises(ExperimentError) as e:
+            load_experiment(_write(tmp_path, text))
+        assert len(e.value.problems) == 1
+        assert e.value.problems[0].startswith(want)
 
 
 class TestRun:
