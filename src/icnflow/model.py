@@ -5,16 +5,15 @@ The congestion window saws between floor(w_max/2) and w_max, where w_max is
 the largest window whose sharing still fits inside every path's pipeline.
 Each window value is one round: a round at window w delivers w messages at
 the aggregate rate the sharing sustains, so the steady receive-rate is the
-cycle's message total over the cycle's duration.
+cycle's message total over the cycle's duration.  The cycle also names the
+path whose pipeline bounds w_max: the one the next Interest would overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
-from .core import (Scenario, StrategyId, pipeline_capacity, rate_msgs, rtt,
-                   validate)
+from .core import Scenario, StrategyId, pipeline_capacity, rate_msgs, validate
 from .sharing import placements, sharing_function
 
 # A window past this is a misconfigured scenario (runaway buffer or rate),
@@ -44,6 +43,8 @@ class CycleStats:
     y_gross_bps: float   # receive-rate counting whole Data messages
     y_net_bps: float     # receive-rate counting payload bytes only
     rounds: tuple[RoundStats, ...]
+    binding_path: int    # path the (w_max + 1)-th Interest overflows;
+                         # pe/ug: the lowest-index path of least capacity
 
 
 def wmax(scenario: Scenario, strategy: StrategyId) -> int:
@@ -53,7 +54,8 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
     fpf: sum(C), as it overflows no path while another still has room.
     re/cf: window w's allocation is the first w steps of one placement
     process, so one walk stops at its first overflow; w_max is the step
-    before it.  Raises ValueError for a scenario core.validate() rejects.
+    before it.  A step moves only the placed path, so only its cap is
+    checked.  Raises ValueError for a scenario core.validate() rejects.
     """
     problems = validate(scenario)
     if problems:
@@ -69,10 +71,12 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
         # min(caps) fits: w_max >= min(caps) is past the guard, no walk needed.
         w_hi = min(caps)
     else:
-        w_hi = -1  # the last window that fit, as the walk goes
-        for faces in placements(scenario, strategy):
-            if w_hi > _SEARCH_CAP or any(
-                    f.pending > c for f, c in zip(faces, caps)):
+        pending = [0] * len(caps)
+        w_hi = 0  # the last window that fit, as the walk goes
+        for i in placements(scenario, strategy):
+            # Only the path just placed on can have gone over its cap.
+            pending[i] += 1
+            if w_hi > _SEARCH_CAP or pending[i] > caps[i]:
                 break
             w_hi += 1
     if w_hi < 1:
@@ -89,35 +93,59 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
 def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
     """Steady-state statistics of one halving-to-peak window cycle.
 
-    Each window w_lo..w_hi is one round.  pe/ug split every window evenly;
-    re/cf/fpf read window w as step w of one placement walk (linear in w_max).
+    Each window w_lo..w_hi is one round.  pe/ug split every window evenly.
+    re/cf/fpf read window w from step w of one placement walk, which moves
+    one path's pending per step, so each step recomputes that one path's
+    rate (linear in w_max).  A round's rate b_k is its per-path rates added
+    left to right from 0.0, the same floats on every Python version.
     """
     w_hi = wmax(scenario, strategy)
     # The halved window never drops below one Interest, so a cycle on a
     # one-Interest peak is the single round w == 1, not an empty round.
     w_lo = max(1, w_hi // 2)
-    windows = range(w_lo, w_hi + 1)
-    if strategy in (StrategyId.PE, StrategyId.UG):
-        share = sharing_function(strategy)
-        allocations = (share(scenario, w) for w in windows)
-    else:
-        allocations = (tuple(float(f.pending) for f in faces) for faces in
-                       islice(placements(scenario, strategy), w_lo, w_hi + 1))
-    n = len(scenario.paths)
     paths = scenario.paths
+    n = len(paths)
     rates = [rate_msgs(scenario, i) for i in range(n)]
+    two_ds = [2.0 * p.delay for p in paths]
 
     rounds = []
-    t_total = 0
+    if strategy in (StrategyId.PE, StrategyId.UG):
+        share = sharing_function(strategy)
+        for w in range(w_lo, w_hi + 1):
+            per = share(scenario, w)
+            per_rate = []
+            b_k = 0.0
+            for x, rate, two_d in zip(per, rates, two_ds):
+                q = x / rate  # core.rtt: max(2·delay, pending/rate)
+                r = x / (q if q > two_d else two_d)
+                per_rate.append(r)
+                b_k += r
+            rounds.append(RoundStats(w, per, tuple(per_rate), b_k, w / b_k))
+        # Every path of least capacity overflows first, together.
+        caps = [pipeline_capacity(p, r) for p, r in zip(paths, rates)]
+        binding = caps.index(min(caps))
+    else:
+        pending = [0.0] * n
+        per_rate = [0.0] * n
+        walk = placements(scenario, strategy)
+        for w, i in zip(range(1, w_hi + 1), walk):
+            x = pending[i] = pending[i] + 1.0
+            q = x / rates[i]  # core.rtt, as above
+            two_d = two_ds[i]
+            per_rate[i] = x / (q if q > two_d else two_d)
+            if w >= w_lo:
+                b_k = 0.0
+                for r in per_rate:
+                    b_k += r
+                rounds.append(RoundStats(w, tuple(pending), tuple(per_rate),
+                                         b_k, w / b_k))
+        # The Interest past w_max is the one that overflows its path.
+        binding = next(walk)
+
     a_total = 0.0
-    for w, per in zip(windows, allocations):
-        per_rate = tuple(per[i] / rtt(paths[i], per[i], rates[i])
-                         for i in range(n))
-        b_k = sum(per_rate)
-        x_k = w / b_k
-        rounds.append(RoundStats(w, per, per_rate, b_k, x_k))
-        t_total += w
-        a_total += x_k
+    for r in rounds:
+        a_total += r.x_k
+    t_total = sum(range(w_lo, w_hi + 1))
     y = t_total / a_total
     return CycleStats(
         w_max=w_hi,
@@ -126,5 +154,5 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
         y_msgs_per_s=y,
         y_gross_bps=y * 8.0 * scenario.data_msg_bytes,
         y_net_bps=y * 8.0 * scenario.payload_bytes,
-        rounds=tuple(rounds))
-
+        rounds=tuple(rounds),
+        binding_path=binding)

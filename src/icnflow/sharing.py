@@ -8,8 +8,10 @@ that puts one Interest at a time on a path, and their allocation is its
 first H steps.  re and fpf replay the simulator's own picker; cf keeps the
 model's least pending/sqrt(RTT) rule, because the simulator's cf is a stride
 over 1/pending.  Every step is one pass over the paths that builds no list;
-cf's computes the RTT inline.  All of them satisfy sum(allocation) == H and
-allocation >= 0, and allocations only grow with H.
+cf's computes the RTT inline.  `placements` yields the path of each step, so
+whoever walks it knows the one path whose pending changed.  All of them
+satisfy sum(allocation) == H and allocation >= 0, and allocations only grow
+with H.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 
     weights = [0.0] * len(faces)  # refilled by every ug/cf call
 
-    def stride():
+    def stride(w_sum):
         # Stride scheduling: every dispatch grants each face credit in
         # proportion to its weight and the winner pays one unit, so long-run
-        # dispatch shares follow the weights.
-        w_sum = sum(weights)
+        # dispatch shares follow the weights.  The caller fills `weights` and
+        # adds them up left to right from 0.0 as it goes: sum() has used
+        # compensated summation since Python 3.12, which gives other floats.
         best, tied, bk, bp = None, None, math.inf, 0
         for i, f in lanes:
             f.rr_credit += weights[i] / w_sum
@@ -87,25 +90,29 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
     if strategy is StrategyId.UG:
         def pick_ug():
             # Weights 1/srtt; unsampled faces borrow the best known srtt.
-            probe = None
+            probe, w_sum = None, 0.0
             for i, f in lanes:
                 if f.srtt is None and probe is None:
                     probe = min((g.srtt for g in faces if g.srtt is not None),
                                 default=1.0)
-                weights[i] = 1.0 / (f.srtt if f.srtt is not None else probe)
-            return stride()
+                w = weights[i] = 1.0 / (f.srtt if f.srtt is not None
+                                        else probe)
+                w_sum += w
+            return stride(w_sum)
         return pick_ug
 
     if strategy is StrategyId.CF:
         def pick_cf():
+            w_sum = 0.0
             for i, f in lanes:
                 p = f.pending
                 if p == 0:
                     # An idle face has unbounded weight: take it at once.  As
                     # pending is never negative, the idle faces are the least.
                     return least_pending()
-                weights[i] = 1.0 / p
-            return stride()
+                w = weights[i] = 1.0 / p
+                w_sum += w
+            return stride(w_sum)
         return pick_cf
 
     if strategy not in (StrategyId.RE, StrategyId.FPF):
@@ -158,10 +165,10 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 # long-run allocation of a window
 
 def placements(scenario: Scenario, strategy: StrategyId):
-    """The re, cf or fpf placement process: yields the live per-path
-    FaceState list (the same list each time, not a copy) before the first
-    Interest and after each one, so item k is the state after k Interests.
-    Each step is one pass over the paths; cf's inlines core.rtt."""
+    """The re, cf or fpf placement process: an endless walk that yields the
+    index of the path each successive Interest is placed on, so its first
+    k items are window k's allocation.  The per-path state stays inside;
+    each step is one pass over the paths, and cf's inlines core.rtt."""
     faces = [FaceState() for _ in scenario.paths]
     if strategy is StrategyId.CF:
         lanes = [(i, f, 2.0 * p.delay, rate_msgs(scenario, i))
@@ -185,8 +192,9 @@ def placements(scenario: Scenario, strategy: StrategyId):
         # back: its own face picker, oracle caps, lowest-index ties.
         pick = picker(strategy, faces, scenario, False, None)
     while True:
-        yield faces
-        faces[pick()].pending += 1
+        i = pick()
+        faces[i].pending += 1
+        yield i
 
 
 def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:
@@ -204,6 +212,8 @@ def sharing_function(strategy: StrategyId):
         return _even_split
 
     def stopped(scenario: Scenario, total: int) -> tuple[float, ...]:
-        faces = next(islice(placements(scenario, strategy), total, None))
-        return tuple(float(f.pending) for f in faces)
+        per = [0.0] * len(scenario.paths)
+        for i in islice(placements(scenario, strategy), total):
+            per[i] += 1.0
+        return tuple(per)
     return stopped

@@ -112,7 +112,9 @@ def _ref_pick(candidates, keys, rng):
 
 
 def _ref_stride(faces, weights, rng):
-    w_sum = sum(weights)
+    w_sum = 0.0  # left to right, as sum() did before Python 3.12
+    for w in weights:
+        w_sum += w
     for f, w in zip(faces, weights):
         f.rr_credit += w / w_sum
     i = _ref_pick(range(len(faces)),

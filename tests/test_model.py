@@ -1,19 +1,36 @@
 """Unit tests for the cycle-average receive-rate model."""
 
 import csv
+import hashlib
+import os
 
 import pytest
 
 from icnflow import (ModelError, PathSpec, Scenario, SimConfig, StrategyId,
                      cycle, pipeline_capacity, rate_msgs, scenario_with, wmax)
 from icnflow import sharing
-from icnflow.cli import ExperimentSpec, SweepSpec, run_experiment
+from icnflow.cli import (_KEYS, ExperimentSpec, SweepSpec, load_experiment,
+                         run_experiment)
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
 # One-way delays 10, 20, ..., 80 ms at 6.25 Mbit/s with 12-message buffers:
 # the benchmark's wide_model scenario at seed 0.
 EIGHT = Scenario(tuple(PathSpec(0.010 * k, 6.25e6, 12) for k in range(1, 9)))
+# A larger bandwidth-delay product: one-way delays 10, 20, ..., 160 ms at
+# 25 Mbit/s with 25-message buffers.
+SIXTEEN = Scenario(tuple(PathSpec(0.010 * k, 25e6, 25) for k in range(1, 17)))
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), "..", "experiments")
+
+
+def _sweep_points(name):
+    """The scenarios at each point of a shipped sweep, built as the CLI
+    builds them."""
+    spec = load_experiment(os.path.join(EXPERIMENTS, f"{name}.exp"))
+    _, _, to_si = _KEYS["path." + spec.sweep.param]
+    return [scenario_with(spec.scenario, spec.sweep.path_index,
+                          spec.sweep.param.split("_")[0], to_si(v))
+            for v in spec.sweep.values()]
 
 
 class TestWmax:
@@ -99,30 +116,44 @@ class TestCycle:
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
 
     def test_sixteen_path_cycle_is_pinned(self):
-        # A larger bandwidth-delay product: one-way delays 10, 20, ...,
-        # 160 ms at 25 Mbit/s with 25-message buffers.
-        sixteen = Scenario(tuple(PathSpec(0.010 * k, 25e6, 25)
-                                 for k in range(1, 17)))
         pinned = {StrategyId.PE: (592, 3885.4832161332874),
                   StrategyId.UG: (592, 3885.4832161332874),
                   StrategyId.RE: (74, 1215.2046894048874),
                   StrategyId.CF: (997, 5367.179947800232),
                   StrategyId.FPF: (2135, 8809.281569256887)}
         for s, want in pinned.items():
-            cs = cycle(sixteen, s)
+            cs = cycle(SIXTEEN, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
 
+    def test_every_cycle_field_is_pinned(self):
+        # Every field and every round, bit for bit, of each strategy's cycle
+        # on the 30 points of the two shipped sweeps and on the 8- and
+        # 16-path scenarios.
+        scenarios = (_sweep_points("delay_sweep") + _sweep_points("rate_sweep")
+                     + [EIGHT, SIXTEEN])
+        assert len(scenarios) == 32
+        digest = hashlib.sha256()
+        for scen in scenarios:
+            for s in StrategyId:
+                cs = cycle(scen, s)
+                digest.update(repr((cs.w_max, cs.t_interests, cs.a_seconds,
+                                    cs.y_msgs_per_s, cs.y_gross_bps,
+                                    cs.y_net_bps, cs.rounds)).encode())
+        assert digest.hexdigest() == (
+            "4e01ab81f28c52e6163edfd4b7c0e1fcd828223045ead69d87960da6afd6caaa")
+
     def test_cycle_work_is_linear_in_w_max(self, monkeypatch):
-        # wmax() walks to its first overflow (w_max + 2 states) and cycle()
-        # reads windows up to w_max from one more walk (w_max + 1 states);
-        # rebuilding every window from zero would draw O(w_max^2) states.
+        # wmax() walks to its first overflow (w_max + 1 placements) and
+        # cycle() reads windows up to w_max, then the binding path, from one
+        # more walk (w_max + 1); rebuilding every window from zero would draw
+        # O(w_max^2) placements.
         drawn = [0]
         real = sharing.placements
 
         def counted(scenario, strategy):
-            for faces in real(scenario, strategy):
+            for i in real(scenario, strategy):
                 drawn[0] += 1
-                yield faces
+                yield i
         monkeypatch.setattr("icnflow.model.placements", counted)
         monkeypatch.setattr("icnflow.sharing.placements", counted)
         for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):

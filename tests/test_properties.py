@@ -145,16 +145,19 @@ def test_wmax_is_the_last_window_that_fits(pool, data, msg_bytes, strat):
     caps = [pipeline_capacity(p, rate_msgs(scen, i))
             for i, p in enumerate(scen.paths)]
 
-    def fits(w):
+    def over(w):
         per = sharing_function(strat)(scen, w)
-        return all(x <= c for x, c in zip(per, caps))
+        return [i for i, (x, c) in enumerate(zip(per, caps)) if x > c]
 
     try:
         w = wmax(scen, strat)
     except ModelError:
-        assert not fits(1)
+        assert over(1)
     else:
-        assert fits(w) and not fits(w + 1)
+        spilled = over(w + 1)
+        assert not over(w) and spilled
+        # The path that binds w_max: the lowest index over its cap at w + 1.
+        assert cycle(scen, strat).binding_path == spilled[0]
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +218,10 @@ def test_cycle_rounds_are_the_per_window_allocations(pool, data, msg_bytes,
         assert r.per_path_rate == tuple(
             x / rtt(p, x, rate)
             for p, x, rate in zip(scen.paths, r.per_path_pending, rates))
-        assert r.b_k == sum(r.per_path_rate)
+        b_k = 0.0
+        for x in r.per_path_rate:
+            b_k += x
+        assert r.b_k == b_k
         assert r.x_k == r.w_k / r.b_k
 
 
