@@ -23,7 +23,6 @@ from .core import (
     StrategyId,
     pipeline_capacity,
     rate_msgs,
-    rtt,
     scenario_with,
     validate,
 )
@@ -44,7 +43,6 @@ from .sim import (
     SimResult,
     halving_points,
     run,
-    select_face,
     validate_config,
 )
 
@@ -52,11 +50,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PathSpec", "Scenario", "StrategyId",
-    "pipeline_capacity", "rate_msgs", "rtt", "scenario_with", "validate",
+    "pipeline_capacity", "rate_msgs", "scenario_with", "validate",
     "sharing_function",
     "CycleStats", "ModelError", "RoundStats", "cycle", "wmax",
     "FPF_CAP_ESTIMATED", "FPF_CAP_ORACLE", "LOSS_ORACLE", "LOSS_TIMEOUT",
-    "SimConfig", "SimResult", "halving_points", "run",
-    "select_face", "validate_config",
+    "SimConfig", "SimResult", "halving_points", "run", "validate_config",
     "__version__",
 ]

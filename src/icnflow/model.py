@@ -5,8 +5,10 @@ The congestion window saws between floor(w_max/2) and w_max, where w_max is
 the largest window whose sharing still fits inside every path's pipeline.
 Each window value is one round: a round at window w delivers w messages at
 the aggregate rate the sharing sustains, so the steady receive-rate is the
-cycle's message total over the cycle's duration.  The cycle also names the
-path whose pipeline bounds w_max: the one the next Interest would overflow.
+cycle's message total over the cycle's duration.  One search finds w_max
+and the path whose pipeline bounds it, the one the next Interest would
+overflow; for re/cf/fpf it is a placement walk whose steps the cycle
+replays as its rounds.
 """
 
 from __future__ import annotations
@@ -47,59 +49,67 @@ class CycleStats:
                          # pe/ug: the lowest-index path of least capacity
 
 
-def wmax(scenario: Scenario, strategy: StrategyId) -> int:
-    """Largest window whose sharing stays within every pipeline capacity.
+def _walk(scenario: Scenario, strategy: StrategyId):
+    """The one search for w_max: `(w_max, binding_path, steps)`.
 
-    pe/ug: n*min(C), exact because the caps are integers ((n*c)/n == c).
-    fpf: sum(C), as it overflows no path while another still has room.
-    re/cf: window w's allocation is the first w steps of one placement
-    process, so one walk stops at its first overflow; w_max is the step
-    before it.  A step moves only the placed path, so only its cap is
-    checked.  Raises ValueError for a scenario core.validate() rejects.
+    pe/ug: n*min(C), exact as the caps are integers ((n*c)/n == c); the
+    paths of least capacity overflow first, together, and the lowest index
+    binds.  re/cf/fpf: window w's allocation is the first w steps of one
+    placement process, so one walk stops at its first overflow, whose path
+    binds.  A step moves only the placed path, so only its cap is checked.
+    `steps` holds the first w_max placed paths, one byte per step below 257
+    paths (None for pe/ug).
     """
     problems = validate(scenario)
     if problems:
         raise ValueError("; ".join(problems))
     caps = [pipeline_capacity(p, rate_msgs(scenario, i))
             for i, p in enumerate(scenario.paths)]
+    n, least = len(caps), min(caps)
+    binding = steps = None
     if strategy in (StrategyId.PE, StrategyId.UG):
-        w_hi = len(caps) * min(caps)
-    elif strategy is StrategyId.FPF:
-        w_hi = sum(caps)
-    elif min(caps) > _SEARCH_CAP:
-        # No path holds more than the whole window, so every window up to
-        # min(caps) fits: w_max >= min(caps) is past the guard, no walk needed.
-        w_hi = min(caps)
+        w_hi, binding = n * least, caps.index(least)
     else:
-        pending = [0] * len(caps)
-        w_hi = 0  # the last window that fit, as the walk goes
-        for i in placements(scenario, strategy):
-            # Only the path just placed on can have gone over its cap.
-            pending[i] += 1
-            if w_hi > _SEARCH_CAP or pending[i] > caps[i]:
-                break
-            w_hi += 1
+        # re/cf fit every window up to min(caps), as no path holds more than
+        # the whole window; fpf overflows no path while another has room, so
+        # it walks to sum(caps).  Past the guard, either bound raises unwalked.
+        w_hi = sum(caps) if strategy is StrategyId.FPF else least
+        if w_hi <= _SEARCH_CAP:
+            steps = bytearray() if n <= 256 else []
+            pending = [0] * n
+            for i in placements(scenario, strategy):
+                # Only the path just placed on can have gone over its cap.
+                pending[i] += 1
+                if len(steps) > _SEARCH_CAP or pending[i] > caps[i]:
+                    break
+                steps.append(i)
+            w_hi, binding = len(steps), i
     if w_hi < 1:
-        raise ModelError(
-            "no feasible window: a single pending Interest already "
-            "overflows a path")
+        raise ModelError("no feasible window: a single pending Interest "
+                         "already overflows a path")
     if w_hi > _SEARCH_CAP:
-        raise ModelError(
-            f"no window bound found below {_SEARCH_CAP}; "
-            "path capacities look unbounded")
-    return w_hi
+        raise ModelError(f"no window bound found below {_SEARCH_CAP}; "
+                         "path capacities look unbounded")
+    return w_hi, binding, steps
+
+
+def wmax(scenario: Scenario, strategy: StrategyId) -> int:
+    """Largest window whose sharing stays within every pipeline capacity,
+    from the one search that cycle() also runs.  Raises ValueError for a
+    scenario core.validate() rejects, ModelError if none fits or none is
+    found below the runaway guard."""
+    return _walk(scenario, strategy)[0]
 
 
 def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
     """Steady-state statistics of one halving-to-peak window cycle.
 
-    Each window w_lo..w_hi is one round.  pe/ug split every window evenly.
-    re/cf/fpf read window w from step w of one placement walk, which moves
-    one path's pending per step, so each step recomputes that one path's
-    rate (linear in w_max).  A round's rate b_k is its per-path rates added
-    left to right from 0.0, the same floats on every Python version.
+    Each window w_lo..w_hi is one round.  pe/ug split every window evenly;
+    re/cf/fpf replay the walk that found w_max, with no picks: its step w
+    moves one path's pending and rate (linear in w_max).  A round's rate b_k
+    adds its per-path rates left to right from 0.0, the same on any Python.
     """
-    w_hi = wmax(scenario, strategy)
+    w_hi, binding, steps = _walk(scenario, strategy)
     # The halved window never drops below one Interest, so a cycle on a
     # one-Interest peak is the single round w == 1, not an empty round.
     w_lo = max(1, w_hi // 2)
@@ -109,7 +119,7 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
     two_ds = [2.0 * p.delay for p in paths]
 
     rounds = []
-    if strategy in (StrategyId.PE, StrategyId.UG):
+    if steps is None:
         share = sharing_function(strategy)
         for w in range(w_lo, w_hi + 1):
             per = share(scenario, w)
@@ -121,14 +131,9 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
                 per_rate.append(r)
                 b_k += r
             rounds.append(RoundStats(w, per, tuple(per_rate), b_k, w / b_k))
-        # Every path of least capacity overflows first, together.
-        caps = [pipeline_capacity(p, r) for p, r in zip(paths, rates)]
-        binding = caps.index(min(caps))
     else:
-        pending = [0.0] * n
-        per_rate = [0.0] * n
-        walk = placements(scenario, strategy)
-        for w, i in zip(range(1, w_hi + 1), walk):
+        pending, per_rate = [0.0] * n, [0.0] * n
+        for w, i in enumerate(steps, 1):
             x = pending[i] = pending[i] + 1.0
             q = x / rates[i]  # core.rtt, as above
             two_d = two_ds[i]
@@ -139,8 +144,6 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
                     b_k += r
                 rounds.append(RoundStats(w, tuple(pending), tuple(per_rate),
                                          b_k, w / b_k))
-        # The Interest past w_max is the one that overflows its path.
-        binding = next(walk)
 
     a_total = 0.0
     for r in rounds:

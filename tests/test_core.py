@@ -5,7 +5,8 @@ import math
 import pytest
 
 from icnflow import (PathSpec, Scenario, StrategyId, pipeline_capacity,
-                     rate_msgs, rtt, scenario_with, validate)
+                     rate_msgs, scenario_with, validate)
+from icnflow.core import rtt
 
 MSG = 4876
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))

@@ -71,26 +71,45 @@ class TestWmax:
         assert wmax(dead, StrategyId.FPF) == 30
 
     def test_unbounded_capacity_is_caught(self, monkeypatch):
+        # wmax() and cycle() both raise before any walk starts.
         def no_walk(*args):
-            raise AssertionError("wmax walked to a bound past the guard")
+            raise AssertionError("walked to a bound past the guard")
         monkeypatch.setattr("icnflow.model.placements", no_walk)
+
+        def unbounded(scen, s):
+            for entry in (wmax, cycle):
+                with pytest.raises(ModelError, match="unbounded"):
+                    entry(scen, s)
         bottomless = Scenario((PathSpec(0.020, 10e6, 10 ** 9),))
         for s in StrategyId:
-            with pytest.raises(ModelError, match="unbounded"):
-                wmax(bottomless, s)
+            unbounded(bottomless, s)
         # fpf fills the small path, then spills every Interest onto the
-        # bottomless one: its w_max is sum(caps), known without a walk.
+        # bottomless one: its walk would end at sum(caps), past the guard.
         beside = Scenario((PathSpec(0.020, 10e6, 20),
                            PathSpec(0.020, 10e6, 10 ** 9)))
-        with pytest.raises(ModelError, match="unbounded"):
-            wmax(beside, StrategyId.FPF)
+        unbounded(beside, StrategyId.FPF)
         # Every window up to min(caps) fits, so a smallest cap past the guard
         # raises at once: TWO_PATH's caps are 30 and 81, and re/cf must not
         # start their walks.
         monkeypatch.setattr("icnflow.model._SEARCH_CAP", 29)
         for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
-            with pytest.raises(ModelError, match="unbounded"):
-                wmax(TWO_PATH, s)
+            unbounded(TWO_PATH, s)
+
+    def test_more_paths_than_one_byte_indexes(self):
+        # 300 paths: the walk records placed paths past index 255.
+        wide = Scenario(tuple(PathSpec(0.001 * (1 + k % 7), 10e6, 1 + k % 3)
+                              for k in range(300)))
+        caps = [pipeline_capacity(p, rate_msgs(wide, i))
+                for i, p in enumerate(wide.paths)]
+        for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
+            share = sharing.sharing_function(s)
+            cs = cycle(wide, s)
+            fit, past = share(wide, cs.w_max), share(wide, cs.w_max + 1)
+            assert all(x <= c for x, c in zip(fit, caps)), s
+            spilled = [i for i, (x, c) in enumerate(zip(past, caps)) if x > c]
+            assert spilled and cs.binding_path == spilled[0], s
+            assert wmax(wide, s) == cs.w_max, s
+            assert cs.rounds[-1].per_path_pending == fit, s
 
     def test_runaway_guard_allows_a_window_up_to_the_cap(self, monkeypatch):
         # fpf on TWO_PATH peaks at 111 and pe at 60 (see the tests above).
@@ -143,10 +162,10 @@ class TestCycle:
             "4e01ab81f28c52e6163edfd4b7c0e1fcd828223045ead69d87960da6afd6caaa")
 
     def test_cycle_work_is_linear_in_w_max(self, monkeypatch):
-        # wmax() walks to its first overflow (w_max + 1 placements) and
-        # cycle() reads windows up to w_max, then the binding path, from one
-        # more walk (w_max + 1); rebuilding every window from zero would draw
-        # O(w_max^2) placements.
+        # One walk to the first overflow (w_max + 1 placements) gives w_max,
+        # the binding path and every window's allocation, which cycle()
+        # replays with no further picks; pe/ug draw none.  Rebuilding every
+        # window from zero would draw O(w_max^2) placements.
         drawn = [0]
         real = sharing.placements
 
@@ -156,10 +175,14 @@ class TestCycle:
                 yield i
         monkeypatch.setattr("icnflow.model.placements", counted)
         monkeypatch.setattr("icnflow.sharing.placements", counted)
-        for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
+        for s in StrategyId:
+            walks = s not in (StrategyId.PE, StrategyId.UG)
             drawn[0] = 0
-            cs = cycle(EIGHT, s)
-            assert 0 < drawn[0] <= 2 * (cs.w_max + 2), (s, drawn[0])
+            w_max = cycle(EIGHT, s).w_max
+            assert drawn[0] == (w_max + 1 if walks else 0), (s, drawn[0])
+            drawn[0] = 0
+            assert wmax(EIGHT, s) == w_max
+            assert drawn[0] == (w_max + 1 if walks else 0), (s, drawn[0])
 
     def test_even_split_on_twin_paths(self):
         cs = cycle(TWIN, StrategyId.PE)

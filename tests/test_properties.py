@@ -14,8 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 import _oracle
 from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
                      LOSS_TIMEOUT, ModelError, PathSpec, Scenario, SimConfig,
-                     StrategyId, cycle, pipeline_capacity, rate_msgs, rtt,
-                     run, sharing_function, wmax)
+                     StrategyId, cycle, pipeline_capacity, rate_msgs, run,
+                     sharing_function, wmax)
+from icnflow.core import rtt
 from icnflow.sharing import FaceState, picker
 
 EXAMPLES = {

@@ -6,10 +6,9 @@ import pytest
 
 from icnflow import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, PathSpec,
                      Scenario, SimConfig, StrategyId, halving_points,
-                     pipeline_capacity, rate_msgs, run, select_face,
-                     validate_config)
+                     pipeline_capacity, rate_msgs, run, validate_config)
 from icnflow.cli import ExperimentSpec, SweepSpec, run_experiment
-from icnflow.sim import FaceState
+from icnflow.sim import FaceState, select_face
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 MSG_SECONDS = 4876 * 8 / 10e6  # service time of one message at 10 Mbps
