@@ -57,8 +57,7 @@ def _walk(scenario: Scenario, strategy: StrategyId):
     binds.  re/cf/fpf: window w's allocation is the first w steps of one
     placement process, so one walk stops at its first overflow, whose path
     binds.  A step moves only the placed path, so only its cap is checked.
-    `steps` holds the first w_max placed paths, one byte per step below 257
-    paths (None for pe/ug).
+    `steps` lists the first w_max placed paths (None for pe/ug).
     """
     problems = validate(scenario)
     if problems:
@@ -75,7 +74,7 @@ def _walk(scenario: Scenario, strategy: StrategyId):
         # it walks to sum(caps).  Past the guard, either bound raises unwalked.
         w_hi = sum(caps) if strategy is StrategyId.FPF else least
         if w_hi <= _SEARCH_CAP:
-            steps = bytearray() if n <= 256 else []
+            steps = []
             pending = [0] * n
             for i in placements(scenario, strategy):
                 # Only the path just placed on can have gone over its cap.
@@ -85,11 +84,13 @@ def _walk(scenario: Scenario, strategy: StrategyId):
                 steps.append(i)
             w_hi, binding = len(steps), i
     if w_hi < 1:
-        raise ModelError("no feasible window: a single pending Interest "
-                         "already overflows a path")
+        raise ModelError(
+            "no feasible window: a single pending Interest already "
+            "overflows a path")
     if w_hi > _SEARCH_CAP:
-        raise ModelError(f"no window bound found below {_SEARCH_CAP}; "
-                         "path capacities look unbounded")
+        raise ModelError(
+            f"no window bound found below {_SEARCH_CAP}; "
+            "path capacities look unbounded")
     return w_hi, binding, steps
 
 
@@ -132,7 +133,8 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
                 b_k += r
             rounds.append(RoundStats(w, per, tuple(per_rate), b_k, w / b_k))
     else:
-        pending, per_rate = [0.0] * n, [0.0] * n
+        pending = [0.0] * n
+        per_rate = [0.0] * n
         for w, i in enumerate(steps, 1):
             x = pending[i] = pending[i] + 1.0
             q = x / rates[i]  # core.rtt, as above

