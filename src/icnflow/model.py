@@ -44,7 +44,7 @@ class CycleStats:
     y_msgs_per_s: float  # t_interests / a_seconds
     y_gross_bps: float   # receive-rate counting whole Data messages
     y_net_bps: float     # receive-rate counting payload bytes only
-    rounds: tuple[RoundStats, ...]
+    rounds: _Rounds      # every window's RoundStats, built while iterated
     binding_path: int    # path the (w_max + 1)-th Interest overflows;
                          # pe/ug: the lowest-index path of least capacity
 
@@ -102,36 +102,33 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
     return _walk(scenario, strategy)[0]
 
 
-def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
-    """Steady-state statistics of one halving-to-peak window cycle.
+def _rounds(scenario: Scenario, strategy: StrategyId, w_lo: int, w_hi: int,
+            steps):
+    """Each round of the cycle as `(w, pending, per_rate, b_k)`, windows
+    w_lo..w_hi in order: the one place a round's arithmetic is done.
 
-    Each window w_lo..w_hi is one round.  pe/ug split every window evenly;
-    re/cf/fpf replay the walk that found w_max, with no picks: its step w
-    moves one path's pending and rate (linear in w_max).  A round's rate b_k
-    adds its per-path rates left to right from 0.0, the same on any Python.
+    pe/ug split every window evenly; re/cf/fpf replay the walk's steps with
+    no picks, and step w moves one path's pending and rate (linear in
+    w_max).  b_k adds the per-path rates left to right from 0.0, the same
+    on any Python.  `pending` and `per_rate` may be lists that the next
+    round changes in place: copy what you keep.
     """
-    w_hi, binding, steps = _walk(scenario, strategy)
-    # The halved window never drops below one Interest, so a cycle on a
-    # one-Interest peak is the single round w == 1, not an empty round.
-    w_lo = max(1, w_hi // 2)
     paths = scenario.paths
     n = len(paths)
     rates = [rate_msgs(scenario, i) for i in range(n)]
     two_ds = [2.0 * p.delay for p in paths]
-
-    rounds = []
     if steps is None:
         share = sharing_function(strategy)
         for w in range(w_lo, w_hi + 1):
-            per = share(scenario, w)
+            pending = share(scenario, w)
             per_rate = []
             b_k = 0.0
-            for x, rate, two_d in zip(per, rates, two_ds):
+            for x, rate, two_d in zip(pending, rates, two_ds):
                 q = x / rate  # core.rtt: max(2·delay, pending/rate)
                 r = x / (q if q > two_d else two_d)
                 per_rate.append(r)
                 b_k += r
-            rounds.append(RoundStats(w, per, tuple(per_rate), b_k, w / b_k))
+            yield w, pending, per_rate, b_k
     else:
         pending = [0.0] * n
         per_rate = [0.0] * n
@@ -144,13 +141,59 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
                 b_k = 0.0
                 for r in per_rate:
                     b_k += r
-                rounds.append(RoundStats(w, tuple(pending), tuple(per_rate),
-                                         b_k, w / b_k))
+                yield w, pending, per_rate, b_k
 
+
+class _Rounds:
+    """A cycle's rounds, built only while iterated: a sized, re-iterable
+    view that keeps the walk's steps, not the rounds.  len() builds
+    nothing; each iteration replays the steps and builds one RoundStats
+    per round."""
+
+    __slots__ = ("_args",)
+
+    def __init__(self, scenario, strategy, w_lo, w_hi, steps):
+        self._args = (scenario, strategy, w_lo, w_hi, steps)
+
+    def __len__(self):
+        return self._args[3] - self._args[2] + 1
+
+    def __iter__(self):
+        for w, pending, per_rate, b_k in _rounds(*self._args):
+            yield RoundStats(w, tuple(pending), tuple(per_rate), b_k, w / b_k)
+
+    def __eq__(self, other):
+        # Round by round, so a comparison holds one pair of rounds at a time.
+        if not isinstance(other, _Rounds):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        # Equal rounds hold equal windows, so this agrees with __eq__.
+        return hash(self._args[2:4])
+
+    def __repr__(self):
+        _, strategy, w_lo, w_hi, _ = self._args
+        return f"<rounds {w_lo}..{w_hi} of {strategy.token}, built on demand>"
+
+
+def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
+    """Steady-state statistics of one halving-to-peak window cycle.
+
+    Each window w_lo..w_hi is one round (see `_rounds`).  The cycle's
+    duration adds the rounds' w/b_k left to right from 0.0 straight from
+    the walk, with no per-round objects, so a cycle holds O(n + w_max)
+    memory; `rounds` builds the RoundStats only when iterated.
+    """
+    w_hi, binding, steps = _walk(scenario, strategy)
+    # The halved window never drops below one Interest, so a cycle on a
+    # one-Interest peak is the single round w == 1, not an empty round.
+    w_lo = max(1, w_hi // 2)
     a_total = 0.0
-    for r in rounds:
-        a_total += r.x_k
-    t_total = sum(range(w_lo, w_hi + 1))
+    for w, _, _, b_k in _rounds(scenario, strategy, w_lo, w_hi, steps):
+        a_total += w / b_k
+    t_total = (w_lo + w_hi) * (w_hi - w_lo + 1) // 2
     y = t_total / a_total
     return CycleStats(
         w_max=w_hi,
@@ -159,5 +202,5 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
         y_msgs_per_s=y,
         y_gross_bps=y * 8.0 * scenario.data_msg_bytes,
         y_net_bps=y * 8.0 * scenario.payload_bytes,
-        rounds=tuple(rounds),
+        rounds=_Rounds(scenario, strategy, w_lo, w_hi, steps),
         binding_path=binding)

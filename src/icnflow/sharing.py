@@ -7,15 +7,16 @@ every path.  pe/ug split H evenly.  re/cf/fpf each have one placement process
 that puts one Interest at a time on a path, and their allocation is its
 first H steps.  re and fpf replay the simulator's own picker; cf keeps the
 model's least pending/sqrt(RTT) rule, because the simulator's cf is a stride
-over 1/pending.  Every step is one pass over the paths that builds no list;
-cf's computes the RTT inline.  `placements` yields the path of each step, so
-whoever walks it knows the one path whose pending changed.  All of them
-satisfy sum(allocation) == H and allocation >= 0, and allocations only grow
-with H.
+over 1/pending.  A re/fpf step is one pass over the paths that builds no
+list; a cf step is one heapreplace of the placed path's entry.  `placements`
+yields the path of each step, so whoever walks it knows the one path whose
+pending changed.  All of them satisfy sum(allocation) == H and
+allocation >= 0, and allocations only grow with H.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -167,30 +168,33 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 def placements(scenario: Scenario, strategy: StrategyId):
     """The re, cf or fpf placement process: an endless walk that yields the
     index of the path each successive Interest is placed on, so its first
-    k items are window k's allocation.  The per-path state stays inside;
-    each step is one pass over the paths, and cf's inlines core.rtt."""
-    faces = [FaceState() for _ in scenario.paths]
+    k items are window k's allocation.  The per-path state stays inside.
+    A re/fpf step is one pass over the paths.  A cf step is one heapreplace:
+    a path's key depends on its own pending only, so placing an Interest
+    changes only the placed path's key."""
     if strategy is StrategyId.CF:
-        lanes = [(i, f, 2.0 * p.delay, rate_msgs(scenario, i))
-                 for i, (p, f) in enumerate(zip(scenario.paths, faces))]
+        lanes = [(2.0 * p.delay, rate_msgs(scenario, i))
+                 for i, p in enumerate(scenario.paths)]
 
-        def pick():
-            # Least pending/sqrt(rtt), then pending; a strict < over
-            # ascending indices keeps the lowest index among exact ties.
-            best, bk, bp = None, math.inf, 0
-            for i, f, two_d, rate in lanes:
-                p = f.pending
-                k = p / rate
-                if k < two_d:  # core.rtt: max(2·delay, pending/rate)
-                    k = two_d
-                k = p / math.sqrt(k)
-                if k < bk or k == bk and p < bp:
-                    best, bk, bp = i, k, p
-            return best
-    else:
-        # The first dispatches the simulator makes before any Data comes
-        # back: its own face picker, oracle caps, lowest-index ties.
-        pick = picker(strategy, faces, scenario, False, None)
+        def entry(i, p):
+            # Least pending/sqrt(rtt), then pending, then index: the order
+            # of a strict < scan over ascending indices.
+            two_d, rate = lanes[i]
+            k = p / rate
+            if k < two_d:  # core.rtt: max(2·delay, pending/rate)
+                k = two_d
+            return p / math.sqrt(k), p, i
+
+        heap = [entry(i, 0) for i in range(len(lanes))]
+        heapq.heapify(heap)
+        while True:
+            _, p, i = heap[0]
+            yield i
+            heapq.heapreplace(heap, entry(i, p + 1))
+    # The first dispatches the simulator makes before any Data comes back:
+    # its own face picker, oracle caps, lowest-index ties.
+    faces = [FaceState() for _ in scenario.paths]
+    pick = picker(strategy, faces, scenario, False, None)
     while True:
         i = pick()
         faces[i].pending += 1

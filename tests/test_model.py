@@ -3,11 +3,13 @@
 import csv
 import hashlib
 import os
+import tracemalloc
 
 import pytest
 
-from icnflow import (ModelError, PathSpec, Scenario, SimConfig, StrategyId,
-                     cycle, pipeline_capacity, rate_msgs, scenario_with, wmax)
+from icnflow import (ModelError, PathSpec, RoundStats, Scenario, SimConfig,
+                     StrategyId, cycle, pipeline_capacity, rate_msgs,
+                     scenario_with, wmax)
 from icnflow import sharing
 from icnflow.cli import (_KEYS, ExperimentSpec, SweepSpec, load_experiment,
                          run_experiment)
@@ -157,7 +159,7 @@ class TestCycle:
                 cs = cycle(scen, s)
                 digest.update(repr((cs.w_max, cs.t_interests, cs.a_seconds,
                                     cs.y_msgs_per_s, cs.y_gross_bps,
-                                    cs.y_net_bps, cs.rounds)).encode())
+                                    cs.y_net_bps, tuple(cs.rounds))).encode())
         assert digest.hexdigest() == (
             "4e01ab81f28c52e6163edfd4b7c0e1fcd828223045ead69d87960da6afd6caaa")
 
@@ -243,6 +245,62 @@ class TestCycle:
         assert (rates[StrategyId.FPF] > rates[StrategyId.CF]
                 > rates[StrategyId.PE] == rates[StrategyId.UG]
                 > rates[StrategyId.RE])
+
+
+class TestRoundsOnDemand:
+    # cycle() sums its rounds straight from the walk; CycleStats.rounds
+    # builds the RoundStats only while it is iterated.
+    SCENARIOS = (TWO_PATH, TWIN, EIGHT,
+                 Scenario((PathSpec(0.001, 10e6, 1),)))  # w_max 1: one round
+
+    def test_len_and_cycle_build_no_round(self, monkeypatch):
+        built = [0]
+        real = RoundStats
+
+        def counted(*args):
+            built[0] += 1
+            return real(*args)
+        monkeypatch.setattr("icnflow.model.RoundStats", counted)
+        for scen in self.SCENARIOS:
+            for s in StrategyId:
+                built[0] = 0
+                cs = cycle(scen, s)
+                n = len(cs.rounds)
+                assert n == cs.w_max - max(1, cs.w_max // 2) + 1, s
+                assert built[0] == 0, s
+                assert sum(1 for _ in cs.rounds) == n == built[0], s
+
+    def test_rounds_reiterate_and_sum_to_the_cycle(self):
+        for scen in self.SCENARIOS:
+            for s in StrategyId:
+                cs = cycle(scen, s)
+                once = tuple(cs.rounds)
+                assert tuple(cs.rounds) == once, s
+                assert [r.w_k for r in once] == list(
+                    range(max(1, cs.w_max // 2), cs.w_max + 1)), s
+                assert cycle(scen, s) == cs, s
+                a = 0.0
+                for r in once:
+                    a += r.x_k
+                assert cs.a_seconds == a, s  # bit for bit, left to right
+
+    def test_cycle_memory_does_not_grow_with_the_rounds(self):
+        # w_max 4408 (5842 for fpf) on 8 paths.  Built eagerly, the 2200+
+        # rounds with two 8-tuples each peak at 0.84-1.4 MB on this
+        # scenario, 13-22 times the bound.  What grows with w_max is the
+        # walk's list of placed paths, 8 bytes a step (re/cf/fpf), so every
+        # strategy peaks near 50 kB or below.
+        big = Scenario(tuple(PathSpec(0.010 * k, 100e6, 500)
+                             for k in range(1, 9)))
+        for s in StrategyId:
+            tracemalloc.start()
+            try:
+                cs = cycle(big, s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cs.w_max >= 4408, s
+            assert peak < 64_000, (s, peak)
 
 
 class TestSweep:

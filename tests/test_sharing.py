@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import _oracle
 from icnflow import (PathSpec, Scenario, StrategyId, pipeline_capacity,
-                     rate_msgs, sharing_function)
+                     rate_msgs, sharing_function, wmax)
+from icnflow.sharing import placements
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
@@ -59,6 +61,23 @@ class TestPendingWeighted:
     def test_single_path_takes_everything(self):
         s = Scenario((PathSpec(0.02, 10e6, 20),))
         assert share_cf(s, 17) == (17.0,)
+
+    def test_placements_break_exact_ties_as_the_reference_scan(self):
+        # Identical and duplicated paths tie exactly on pending/sqrt(rtt)
+        # and on pending, so only the index decides: the heap's first h
+        # steps must be the reference scan's allocation at h, up to the
+        # first overflow.
+        a, b = PathSpec(0.020, 10e6, 20), PathSpec(0.005, 2e6, 3)
+        for scen in (TWIN, Scenario((a,) * 4), Scenario((a, b, a, b, a)),
+                     Scenario((b, a, b), 1250, 470)):
+            paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
+            w_max = wmax(scen, StrategyId.CF)
+            per = [0.0] * len(paths)
+            steps = placements(scen, StrategyId.CF)
+            for h in range(1, w_max + 2):
+                per[next(steps)] += 1.0
+                assert per == _oracle.ref_share(paths, scen.data_msg_bytes,
+                                                "cf", h), (scen, h)
 
     def test_sqrt_rtt_ratio_in_delay_dominated_regime(self):
         # While both pending counts sit below their propagation floors
