@@ -5,10 +5,10 @@ runs it.  `sharing_function` is its long-run allocation, as the model reads
 it: a window size H maps to the average number of pending Interests on
 every path.  pe/ug split H evenly.  re/cf/fpf each have one placement process
 that puts one Interest at a time on a path, and their allocation is its
-first H steps.  re and fpf replay the simulator's own picker; cf keeps the
-model's least pending/sqrt(RTT) rule, because the simulator's cf is a stride
-over 1/pending.  A re/fpf step is one pass over the paths that builds no
-list; a cf step is one heapreplace of the placed path's entry.  `placements`
+first H steps.  re and fpf place as the simulator's picker does before any
+Data comes back; cf keeps the model's least pending/sqrt(RTT) rule, because
+the simulator's cf is a stride over 1/pending.  `placements` walks all
+three on one heap, one heapreplace of the placed path's entry per step, and
 yields the path of each step, so whoever walks it knows the one path whose
 pending changed.  All of them satisfy sum(allocation) == H and
 allocation >= 0, and allocations only grow with H.
@@ -123,8 +123,8 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
     # ties, so identical paths interleave instead of piling onto one face.
     # The round trip is core.rtt, queue-aware: the propagation floor or the
     # time the current backlog needs to drain, whichever dominates.
-    # placements() replays this picker, so the model's re/fpf allocations
-    # are the simulator's own first dispatches.
+    # placements() walks the same order on a heap for the model; a test
+    # keeps its re/fpf steps equal to this picker's first dispatches.
     oracle = strategy is StrategyId.FPF and not estimated_caps
     rates = [rate_msgs(scenario, i) for i, _ in lanes]
     rtt_lanes = [(i, f, 2.0 * p.delay, r,
@@ -169,36 +169,51 @@ def placements(scenario: Scenario, strategy: StrategyId):
     """The re, cf or fpf placement process: an endless walk that yields the
     index of the path each successive Interest is placed on, so its first
     k items are window k's allocation.  The per-path state stays inside.
-    A re/fpf step is one pass over the paths.  A cf step is one heapreplace:
-    a path's key depends on its own pending only, so placing an Interest
-    changes only the placed path's key."""
-    if strategy is StrategyId.CF:
-        lanes = [(2.0 * p.delay, rate_msgs(scenario, i))
-                 for i, p in enumerate(scenario.paths)]
 
-        def entry(i, p):
-            # Least pending/sqrt(rtt), then pending, then index: the order
-            # of a strict < scan over ascending indices.
-            two_d, rate = lanes[i]
-            k = p / rate
-            if k < two_d:  # core.rtt: max(2·delay, pending/rate)
-                k = two_d
+    Each path has one heap entry, least first:
+      re   (rtt, pending, index)
+      cf   (pending/sqrt(rtt), pending, index)
+      fpf  (pending >= cap, rtt, pending, index)
+    with rtt = core.rtt(pending) and cap the oracle pipeline capacity.  The
+    order is the picker's strict < scan over ascending indices, and fpf's
+    flag is its capped scan and the uncapped spill once every cap is
+    reached.  A walk only adds Interests and a path's entry depends on its
+    own pending only, so a step is one heapreplace of the placed path's
+    entry, and no entry goes stale.  pe and ug place no Interest one at a
+    time: they raise ValueError.
+    """
+    if strategy not in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
+        raise ValueError(f"{strategy.token} has no placement process: "
+                         "it splits the window evenly")
+    lanes = []
+    for i, path in enumerate(scenario.paths):
+        rate = rate_msgs(scenario, i)
+        lanes.append((2.0 * path.delay, rate, pipeline_capacity(path, rate)))
+
+    cf, fpf = strategy is StrategyId.CF, strategy is StrategyId.FPF
+
+    def entry(i, p):
+        two_d, rate, cap = lanes[i]
+        k = p / rate
+        if k < two_d:  # core.rtt: max(2·delay, pending/rate)
+            k = two_d
+        if cf:
             return p / math.sqrt(k), p, i
+        if fpf:
+            return p >= cap, k, p, i
+        return k, p, i
+    return _heap_walk(entry, len(lanes))
 
-        heap = [entry(i, 0) for i in range(len(lanes))]
-        heapq.heapify(heap)
-        while True:
-            _, p, i = heap[0]
-            yield i
-            heapq.heapreplace(heap, entry(i, p + 1))
-    # The first dispatches the simulator makes before any Data comes back:
-    # its own face picker, oracle caps, lowest-index ties.
-    faces = [FaceState() for _ in scenario.paths]
-    pick = picker(strategy, faces, scenario, False, None)
+
+def _heap_walk(entry, n):
+    # Every entry ends in (pending, index).
+    heap = [entry(i, 0) for i in range(n)]
+    heapq.heapify(heap)
     while True:
-        i = pick()
-        faces[i].pending += 1
+        top = heap[0]
+        i = top[-1]
         yield i
+        heapq.heapreplace(heap, entry(i, top[-2] + 1))
 
 
 def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:

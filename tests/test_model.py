@@ -22,6 +22,10 @@ EIGHT = Scenario(tuple(PathSpec(0.010 * k, 6.25e6, 12) for k in range(1, 9)))
 # A larger bandwidth-delay product: one-way delays 10, 20, ..., 160 ms at
 # 25 Mbit/s with 25-message buffers.
 SIXTEEN = Scenario(tuple(PathSpec(0.010 * k, 25e6, 25) for k in range(1, 17)))
+# Fifty paths at 1 Gbit/s with 1000-message buffers, one-way delays from 10
+# to 80 ms staggered evenly over the path indices.
+FIFTY = Scenario(tuple(PathSpec(0.010 + 0.070 * ((7 * k) % 50) / 49, 1e9, 1000)
+                       for k in range(50)))
 EXPERIMENTS = os.path.join(os.path.dirname(__file__), "..", "experiments")
 
 
@@ -144,6 +148,14 @@ class TestCycle:
                   StrategyId.FPF: (2135, 8809.281569256887)}
         for s, want in pinned.items():
             cs = cycle(SIXTEEN, s)
+            assert (cs.w_max, cs.y_msgs_per_s) == want, s
+
+    def test_fifty_path_cycle_is_pinned(self):
+        # The largest walks in the suite: 21 168 and 165 336 placements.
+        pinned = {StrategyId.RE: (21168, 304329.48858433217),
+                  StrategyId.FPF: (165336, 1103349.2780086526)}
+        for s, want in pinned.items():
+            cs = cycle(FIFTY, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
 
     def test_every_cycle_field_is_pinned(self):

@@ -2,6 +2,7 @@
 
 import ast
 import math
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,18 @@ import pytest
 import _oracle
 from icnflow import (PathSpec, Scenario, StrategyId, pipeline_capacity,
                      rate_msgs, sharing_function, wmax)
-from icnflow.sharing import placements
+from icnflow.sharing import FaceState, picker, placements
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
+# Identical and duplicated paths tie exactly on every strategy's key and on
+# pending, so only the index decides; the last scenario has a path with no
+# buffer, whose pipeline is its propagation floor alone.
+A, B = PathSpec(0.020, 10e6, 20), PathSpec(0.005, 2e6, 3)
+TIES = (TWIN, Scenario((A,) * 4), Scenario((A, B, A, B, A)),
+        Scenario((B, A, B), 1250, 470),
+        Scenario((B, PathSpec(0.010, 10e6, 0), A, B)))
+PLACED = (StrategyId.RE, StrategyId.CF, StrategyId.FPF)
 
 share_pe, share_re, share_ug, share_cf, share_fpf = (
     sharing_function(StrategyId(t)) for t in ("pe", "re", "ug", "cf", "fpf"))
@@ -63,21 +72,18 @@ class TestPendingWeighted:
         assert share_cf(s, 17) == (17.0,)
 
     def test_placements_break_exact_ties_as_the_reference_scan(self):
-        # Identical and duplicated paths tie exactly on pending/sqrt(rtt)
-        # and on pending, so only the index decides: the heap's first h
-        # steps must be the reference scan's allocation at h, up to the
-        # first overflow.
-        a, b = PathSpec(0.020, 10e6, 20), PathSpec(0.005, 2e6, 3)
-        for scen in (TWIN, Scenario((a,) * 4), Scenario((a, b, a, b, a)),
-                     Scenario((b, a, b), 1250, 470)):
+        # For re, cf and fpf, the heap's first h steps must be the reference
+        # scan's allocation at h, up to the first overflow.
+        for scen in TIES:
             paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
-            w_max = wmax(scen, StrategyId.CF)
-            per = [0.0] * len(paths)
-            steps = placements(scen, StrategyId.CF)
-            for h in range(1, w_max + 2):
-                per[next(steps)] += 1.0
-                assert per == _oracle.ref_share(paths, scen.data_msg_bytes,
-                                                "cf", h), (scen, h)
+            for s in PLACED:
+                w_max = wmax(scen, s)
+                per = [0.0] * len(paths)
+                steps = placements(scen, s)
+                for h in range(1, w_max + 2):
+                    per[next(steps)] += 1.0
+                    assert per == _oracle.ref_share(
+                        paths, scen.data_msg_bytes, s.token, h), (scen, s, h)
 
     def test_sqrt_rtt_ratio_in_delay_dominated_regime(self):
         # While both pending counts sit below their propagation floors
@@ -107,12 +113,39 @@ class TestCapacityFilling:
         assert any(x > c for x, c in zip(total, caps))
 
 
+class TestSimulatorOrder:
+    def test_re_and_fpf_walks_are_the_simulators_first_dispatches(self):
+        # Before any Data comes back the simulator's picker only adds
+        # Interests, so its first picks are the model's placement walk.
+        # sum(caps) + n picks take fpf past every cap and into its spill.
+        for scen in TIES:
+            caps = [pipeline_capacity(p, rate_msgs(scen, i))
+                    for i, p in enumerate(scen.paths)]
+            for s in (StrategyId.RE, StrategyId.FPF):
+                faces = [FaceState() for _ in scen.paths]
+                pick = picker(s, faces, scen, False, None)
+                picked = []
+                for _ in range(sum(caps) + len(caps)):
+                    i = pick()
+                    faces[i].pending += 1
+                    picked.append(i)
+                assert list(islice(placements(scen, s), len(picked))) \
+                    == picked, (scen, s)
+                if s is StrategyId.FPF:
+                    assert all(f.pending >= c for f, c in zip(faces, caps))
+
+
 class TestLookup:
     def test_every_strategy_is_wired(self):
         for s in StrategyId:
             vec = sharing_function(s)(TWO_PATH, 12)
             assert len(vec) == len(TWO_PATH.paths)
             assert sum(vec) == pytest.approx(12)
+
+    def test_even_splits_have_no_placement_process(self):
+        for s in (StrategyId.PE, StrategyId.UG):
+            with pytest.raises(ValueError, match="no placement process"):
+                placements(TWIN, s)
 
 
 def test_sharing_imports_only_from_core():
