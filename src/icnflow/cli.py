@@ -37,7 +37,8 @@ from dataclasses import dataclass, replace
 
 from .core import (PathSpec, Scenario, StrategyId, scenario_with, validate)
 from .model import ModelError, cycle
-from .sim import SimConfig, run, validate_config
+from .sim import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE, LOSS_TIMEOUT,
+                  SimConfig, run, validate_config)
 
 _RATES_HEADER = ("sweep_value,strategy,source,y_msgs_per_s,y_gross_mbps,"
                  "y_net_mbps,w_max_or_peak\n")
@@ -138,8 +139,10 @@ _KEYS = {
     "sim.total_chunks": ("sim", "total_chunks", int),
     "sim.initial_window": ("sim", "initial_window", int),
     "sim.seed": ("sim", "seed", int),
-    "sim.loss_signal": ("sim", "loss_signal", str),
-    "sim.fpf_capacity_mode": ("sim", "fpf_capacity_mode", str),
+    "sim.loss_signal": ("sim", "loss_signal",
+                        _one_of(LOSS_ORACLE, LOSS_TIMEOUT)),
+    "sim.fpf_capacity_mode": ("sim", "fpf_capacity_mode",
+                              _one_of(FPF_CAP_ORACLE, FPF_CAP_ESTIMATED)),
 }
 
 
@@ -150,7 +153,7 @@ def load_experiment(path: str) -> ExperimentSpec:
     blocks = []  # one {field: value} per path, in file order
     found = {"scenario": {}, "spec": {}, "sweep": {}, "sim": {}}
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:

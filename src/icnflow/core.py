@@ -76,7 +76,9 @@ def validate(scenario: Scenario) -> list[str]:
     errors = []
     if not scenario.paths:
         errors.append("empty path list")
+    msg_ok = is_whole(scenario.data_msg_bytes) and scenario.data_msg_bytes > 0
     for i, p in enumerate(scenario.paths):
+        found = len(errors)
         if not 0 < p.delay < math.inf:
             errors.append(f"path {i}: delay must be finite and > 0, got {p.delay}")
         if not 0 < p.rate_bps < math.inf:
@@ -86,7 +88,10 @@ def validate(scenario: Scenario) -> list[str]:
             errors.append(
                 f"path {i}: buffer_msgs must be a whole number >= 0, "
                 f"got {p.buffer_msgs}")
-    msg_ok = is_whole(scenario.data_msg_bytes) and scenario.data_msg_bytes > 0
+        if len(errors) == found and msg_ok and not math.isfinite(
+                2.0 * p.delay * rate_msgs(scenario, i) + p.buffer_msgs):
+            errors.append(f"path {i}: pipeline capacity 2*delay*rate + "
+                          "buffer overflows a float")
     if not msg_ok:
         errors.append(f"data_msg_bytes must be a whole number > 0, "
                       f"got {scenario.data_msg_bytes}")

@@ -13,7 +13,8 @@ replays as its rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .core import Scenario, StrategyId, pipeline_capacity, rate_msgs, validate
 from .sharing import placements, sharing_function
@@ -44,7 +45,7 @@ class CycleStats:
     y_msgs_per_s: float  # t_interests / a_seconds
     y_gross_bps: float   # receive-rate counting whole Data messages
     y_net_bps: float     # receive-rate counting payload bytes only
-    rounds: _Rounds      # every window's RoundStats, built while iterated
+    rounds: _Rounds = field(compare=False, repr=False)  # built while iterated
     binding_path: int    # path the (w_max + 1)-th Interest overflows;
                          # pe/ug: the lowest-index path of least capacity
 
@@ -56,18 +57,20 @@ def _walk(scenario: Scenario, strategy: StrategyId):
     paths of least capacity overflow first, together, and the lowest index
     binds.  re/cf/fpf: window w's allocation is the first w steps of one
     placement process, so one walk stops at its first overflow, whose path
-    binds.  A step moves only the placed path, so only its cap is checked.
-    `steps` lists the first w_max placed paths (None for pe/ug).
+    binds.  Each step yields the placed path's new pending count, and only
+    that path's cap is checked.  The runaway guard stops the walk after
+    _SEARCH_CAP + 1 steps.  `steps` lists the first w_max placed paths
+    (None for pe/ug).
     """
     problems = validate(scenario)
     if problems:
         raise ValueError("; ".join(problems))
     caps = [pipeline_capacity(p, rate_msgs(scenario, i))
             for i, p in enumerate(scenario.paths)]
-    n, least = len(caps), min(caps)
+    least = min(caps)
     binding = steps = None
     if strategy in (StrategyId.PE, StrategyId.UG):
-        w_hi, binding = n * least, caps.index(least)
+        w_hi, binding = len(caps) * least, caps.index(least)
     else:
         # re/cf fit every window up to min(caps), as no path holds more than
         # the whole window; fpf overflows no path while another has room, so
@@ -75,11 +78,10 @@ def _walk(scenario: Scenario, strategy: StrategyId):
         w_hi = sum(caps) if strategy is StrategyId.FPF else least
         if w_hi <= _SEARCH_CAP:
             steps = []
-            pending = [0] * n
-            for i in placements(scenario, strategy):
+            for i, p in islice(placements(scenario, strategy),
+                               _SEARCH_CAP + 1):
                 # Only the path just placed on can have gone over its cap.
-                pending[i] += 1
-                if len(steps) > _SEARCH_CAP or pending[i] > caps[i]:
+                if p > caps[i]:
                     break
                 steps.append(i)
             w_hi, binding = len(steps), i
@@ -161,21 +163,6 @@ class _Rounds:
     def __iter__(self):
         for w, pending, per_rate, b_k in _rounds(*self._args):
             yield RoundStats(w, tuple(pending), tuple(per_rate), b_k, w / b_k)
-
-    def __eq__(self, other):
-        # Round by round, so a comparison holds one pair of rounds at a time.
-        if not isinstance(other, _Rounds):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
-
-    def __hash__(self):
-        # Equal rounds hold equal windows, so this agrees with __eq__.
-        return hash(self._args[2:4])
-
-    def __repr__(self):
-        _, strategy, w_lo, w_hi, _ = self._args
-        return f"<rounds {w_lo}..{w_hi} of {strategy.token}, built on demand>"
 
 
 def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:

@@ -9,8 +9,8 @@ first H steps.  re and fpf place as the simulator's picker does before any
 Data comes back; cf keeps the model's least pending/sqrt(RTT) rule, because
 the simulator's cf is a stride over 1/pending.  `placements` walks all
 three on one heap, one heapreplace of the placed path's entry per step, and
-yields the path of each step, so whoever walks it knows the one path whose
-pending changed.  All of them satisfy sum(allocation) == H and
+yields each step's path and that path's new pending count, so no walker
+keeps counts of its own.  All of them satisfy sum(allocation) == H and
 allocation >= 0, and allocations only grow with H.
 """
 
@@ -166,9 +166,10 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 # long-run allocation of a window
 
 def placements(scenario: Scenario, strategy: StrategyId):
-    """The re, cf or fpf placement process: an endless walk that yields the
-    index of the path each successive Interest is placed on, so its first
-    k items are window k's allocation.  The per-path state stays inside.
+    """The re, cf or fpf placement process: an endless walk that yields
+    `(path, pending)` for each successive Interest, the index of the path
+    it is placed on and that path's pending count after it, so its first k
+    paths are window k's allocation.
 
     Each path has one heap entry, least first:
       re   (rtt, pending, index)
@@ -211,9 +212,9 @@ def _heap_walk(entry, n):
     heapq.heapify(heap)
     while True:
         top = heap[0]
-        i = top[-1]
-        yield i
-        heapq.heapreplace(heap, entry(i, top[-2] + 1))
+        i, p = top[-1], top[-2] + 1
+        yield i, p
+        heapq.heapreplace(heap, entry(i, p))
 
 
 def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:
@@ -232,7 +233,7 @@ def sharing_function(strategy: StrategyId):
 
     def stopped(scenario: Scenario, total: int) -> tuple[float, ...]:
         per = [0.0] * len(scenario.paths)
-        for i in islice(placements(scenario, strategy), total):
+        for i, _ in islice(placements(scenario, strategy), total):
             per[i] += 1.0
         return tuple(per)
     return stopped

@@ -154,6 +154,14 @@ class TestLoad:
                                 "strategies = pe\n")
         assert load_experiment(path).scenario.paths[0].delay == 0.020
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        # Some editors save UTF-8 with a leading byte-order mark.
+        text = MINIMAL.format(out="o").lstrip()
+        bom = tmp_path / "bom.exp"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_experiment(str(bom)) == load_experiment(
+            _write(tmp_path, text))
+
     @pytest.mark.parametrize("lines, want", [
         ("sim.total_chunks = 500\nsim.seed = 7\nsim.initial_window = 4\n"
          "sim.loss_signal = timeout\nsim.fpf_capacity_mode = estimated\n",
@@ -223,9 +231,14 @@ class TestLoad:
          "path 0: missing path.buffer_msgs"),
         (MINIMAL.format(out="o").replace("= pe", "= pe,re,pe"),
          "line 5: bad value for strategies: a strategy is listed twice"),
-        (MINIMAL.format(out=""), "line 7: bad value for output: empty")],
+        (MINIMAL.format(out=""), "line 7: bad value for output: empty"),
+        (MINIMAL.format(out="o") + "sim.loss_signal = never\n",
+         "line 8: bad value for sim.loss_signal: expected one of"),
+        (MINIMAL.format(out="o") + "sim.fpf_capacity_mode = guessed\n",
+         "line 8: bad value for sim.fpf_capacity_mode: expected one of")],
         ids=["no_path", "bad_path_value", "missing_path_key",
-             "repeated_strategy", "empty_output"])
+             "repeated_strategy", "empty_output", "bad_loss_signal",
+             "bad_fpf_capacity_mode"])
     def test_one_fault_is_one_problem(self, tmp_path, text, want):
         with pytest.raises(ExperimentError) as e:
             load_experiment(_write(tmp_path, text))
@@ -471,13 +484,16 @@ class TestMain:
         assert "experiment error" in capsys.readouterr().err
 
     def test_infinite_values_are_exit_2(self, tmp_path, capsys):
-        # These used to reach the engines: an infinite delay or rate raised a
-        # raw OverflowError (exit 3, no CSV), an infinite duration never ended,
+        # These used to reach the engines: an infinite delay or rate, or
+        # finite ones whose pipeline overflows a float, raised a raw
+        # OverflowError (exit 3, no CSV), an infinite duration never ended,
         # and a NaN or infinite sweep bound failed to count the sweep points.
         for key, line in (("delay", "path.delay_ms = inf\n"
                                     "path.rate_mbps = 10\n"),
                           ("rate", "path.delay_ms = 20\n"
                                    "path.rate_mbps = inf\n"),
+                          ("capacity", "path.delay_ms = 1e200\n"
+                                       "path.rate_mbps = 1e200\n"),
                           ("duration", "path.delay_ms = 20\n"
                                        "path.rate_mbps = 10\n"
                                        "sim.duration_s = inf\n"),

@@ -103,7 +103,9 @@ class TestValidate:
                            (PathSpec(0.02, inf, 20), "rate"),
                            (PathSpec(0.02, 10e6, 2.5), "buffer"),
                            (PathSpec(0.02, 10e6, inf), "buffer"),
-                           (PathSpec(float("nan"), 10e6, 20), "delay")):
+                           (PathSpec(float("nan"), 10e6, 20), "delay"),
+                           # finite, but 2*delay*rate is not
+                           (PathSpec(1e197, 1e206, 20), "capacity")):
             problems = validate(Scenario((path,)))
             assert len(problems) == 1 and word in problems[0], path
         # A whole float is still a whole number of messages.

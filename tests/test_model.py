@@ -128,6 +128,25 @@ class TestWmax:
         with pytest.raises(ModelError, match="unbounded"):
             wmax(TWO_PATH, StrategyId.PE)
 
+    def test_runaway_guard_stops_the_walk(self, monkeypatch):
+        # cf on TWO_PATH (caps 30 and 81) peaks at 73, past its smallest
+        # cap, so only the guard inside the walk can stop it short.
+        drawn = [0]
+        real = sharing.placements
+
+        def counted(scenario, strategy):
+            for step in real(scenario, strategy):
+                drawn[0] += 1
+                yield step
+        monkeypatch.setattr("icnflow.model.placements", counted)
+        monkeypatch.setattr("icnflow.model._SEARCH_CAP", 73)
+        assert wmax(TWO_PATH, StrategyId.CF) == 73
+        monkeypatch.setattr("icnflow.model._SEARCH_CAP", 72)
+        drawn[0] = 0
+        with pytest.raises(ModelError, match="unbounded"):
+            wmax(TWO_PATH, StrategyId.CF)
+        assert drawn[0] <= 72 + 2
+
 
 class TestCycle:
     def test_eight_path_cycle_is_pinned(self):
@@ -295,6 +314,18 @@ class TestRoundsOnDemand:
                 for r in once:
                     a += r.x_k
                 assert cs.a_seconds == a, s  # bit for bit, left to right
+
+    def test_comparing_cycles_rebuilds_no_round(self, monkeypatch):
+        # == and hash() read a cycle's numbers; only iterating rebuilds.
+        pairs = [(cycle(EIGHT, s), cycle(EIGHT, s)) for s in StrategyId]
+
+        def no_rounds(*args):
+            raise AssertionError("rebuilt the rounds")
+        monkeypatch.setattr("icnflow.model._rounds", no_rounds)
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), a
+            with pytest.raises(AssertionError, match="rebuilt"):
+                next(iter(a.rounds))
 
     def test_cycle_memory_does_not_grow_with_the_rounds(self):
         # w_max 4408 (5842 for fpf) on 8 paths.  Built eagerly, the 2200+

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 from itertools import islice
 from pathlib import Path
 
@@ -81,7 +82,8 @@ class TestPendingWeighted:
                 per = [0.0] * len(paths)
                 steps = placements(scen, s)
                 for h in range(1, w_max + 2):
-                    per[next(steps)] += 1.0
+                    i, _ = next(steps)
+                    per[i] += 1.0
                     assert per == _oracle.ref_share(
                         paths, scen.data_msg_bytes, s.token, h), (scen, s, h)
 
@@ -129,10 +131,32 @@ class TestSimulatorOrder:
                     i = pick()
                     faces[i].pending += 1
                     picked.append(i)
-                assert list(islice(placements(scen, s), len(picked))) \
-                    == picked, (scen, s)
+                assert [i for i, _ in islice(placements(scen, s),
+                                             len(picked))] == picked, (scen, s)
                 if s is StrategyId.FPF:
                     assert all(f.pending >= c for f, c in zip(faces, caps))
+
+    def test_fpf_spill_breaks_exact_ties_as_the_reference(self):
+        # With every face at its oracle cap, fpf spills on the uncapped rtt
+        # key, and on these scenarios equal faces tie on it exactly, so the
+        # seeded rng picks among them.
+        for scen in TIES:
+            caps = [pipeline_capacity(p, rate_msgs(scen, i))
+                    for i, p in enumerate(scen.paths)]
+            paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
+            for seed in range(1, 51):
+                faces = [FaceState(pending=c) for c in caps]
+                ref_faces = [FaceState(pending=c) for c in caps]
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                pick = picker(StrategyId.FPF, faces, scen, False, rng)
+                for _ in range(3 * len(caps)):
+                    i = pick()
+                    assert i == _oracle.ref_select_face(
+                        "fpf", ref_faces, paths, scen.data_msg_bytes, caps,
+                        ref_rng), (scen, seed)
+                    assert rng.getstate() == ref_rng.getstate(), (scen, seed)
+                    faces[i].pending += 1
+                    ref_faces[i].pending += 1
 
 
 class TestLookup:
