@@ -23,7 +23,6 @@ from .core import (
     StrategyId,
     pipeline_capacity,
     rate_msgs,
-    scenario_with,
     validate,
 )
 from .sharing import sharing_function
@@ -50,7 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PathSpec", "Scenario", "StrategyId",
-    "pipeline_capacity", "rate_msgs", "scenario_with", "validate",
+    "pipeline_capacity", "rate_msgs", "validate",
     "sharing_function",
     "CycleStats", "ModelError", "RoundStats", "cycle", "wmax",
     "FPF_CAP_ESTIMATED", "FPF_CAP_ORACLE", "LOSS_ORACLE", "LOSS_TIMEOUT",

@@ -35,7 +35,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .core import (PathSpec, Scenario, StrategyId, scenario_with, validate)
+from .core import PathSpec, Scenario, StrategyId, validate
 from .model import ModelError, cycle
 from .sim import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE, LOSS_TIMEOUT,
                   SimConfig, run, validate_config)
@@ -81,6 +81,16 @@ class SweepSpec:
     def values(self):
         return [round(self.start + k * self.step, 12)
                 for k in range(self.count())]
+
+    def points(self, base: Scenario):
+        """Yields (value, scenario) for each of values(): `base` with path
+        `path_index`'s field set as the file key `path.<param>` sets it."""
+        _, field, to_si = _KEYS["path." + self.param]  # to s or bit/s
+        paths = list(base.paths)
+        swept = paths[self.path_index]
+        for value in self.values():
+            paths[self.path_index] = replace(swept, **{field: to_si(value)})
+            yield value, replace(base, paths=tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -235,20 +245,14 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """Run every (sweep point, strategy, source) combination and write the
     CSVs.  Per-point failures are reported on stderr and reflected in the
     exit code (3) but never abort the rest of the run."""
-    sweep_values = spec.sweep.values() if spec.sweep else [None]
+    points = (spec.sweep.points(spec.scenario) if spec.sweep
+              else [(None, spec.scenario)])
     failures = []
     rows = []
     traces = {}  # strategy token -> window trace (single-point runs only)
 
-    for value in sweep_values:
-        if value is None:
-            scen = spec.scenario
-            tag = ""
-        else:
-            _, _, to_si = _KEYS["path." + spec.sweep.param]  # to s or bit/s
-            scen = scenario_with(spec.scenario, spec.sweep.path_index,
-                                 spec.sweep.param.split("_")[0], to_si(value))
-            tag = _fmt(value)
+    for value, scen in points:
+        tag = "" if value is None else _fmt(value)
         for strat in spec.strategies:
             if spec.mode in ("model", "both"):
                 try:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 
 
 class StrategyId(enum.Enum):
@@ -67,8 +68,8 @@ def pipeline_capacity(path: PathSpec, msg_rate: float) -> int:
 
 
 def is_whole(x) -> bool:
-    """True for a finite number with no fractional part (3 or 3.0, not 2.5)."""
-    return math.isfinite(x) and x == math.floor(x)
+    """True for a whole number in the float range: 3 or 3.0, not 2.5 or inf."""
+    return abs(x) <= sys.float_info.max and x == math.floor(x)
 
 
 def validate(scenario: Scenario) -> list[str]:
@@ -79,40 +80,33 @@ def validate(scenario: Scenario) -> list[str]:
     msg_ok = is_whole(scenario.data_msg_bytes) and scenario.data_msg_bytes > 0
     for i, p in enumerate(scenario.paths):
         found = len(errors)
-        if not 0 < p.delay < math.inf:
+        if not 0 < p.delay <= sys.float_info.max:
             errors.append(f"path {i}: delay must be finite and > 0, got {p.delay}")
-        if not 0 < p.rate_bps < math.inf:
+        if not 0 < p.rate_bps <= sys.float_info.max:
             errors.append(
                 f"path {i}: rate_bps must be finite and > 0, got {p.rate_bps}")
         if not (is_whole(p.buffer_msgs) and p.buffer_msgs >= 0):
             errors.append(
-                f"path {i}: buffer_msgs must be a whole number >= 0, "
+                f"path {i}: buffer_msgs must be a finite whole number >= 0, "
                 f"got {p.buffer_msgs}")
-        if len(errors) == found and msg_ok and not math.isfinite(
-                2.0 * p.delay * rate_msgs(scenario, i) + p.buffer_msgs):
+        if len(errors) > found or not msg_ok:
+            continue
+        msg_rate = rate_msgs(scenario, i)
+        capacity = 2.0 * p.delay * msg_rate + p.buffer_msgs
+        if not math.isfinite(capacity):
             errors.append(f"path {i}: pipeline capacity 2*delay*rate + "
                           "buffer overflows a float")
+        elif msg_rate == 0 or not math.isfinite(capacity / msg_rate):
+            errors.append(f"path {i}: message rate too low: a full "
+                          "pipeline's backlog time overflows a float")
     if not msg_ok:
-        errors.append(f"data_msg_bytes must be a whole number > 0, "
+        errors.append(f"data_msg_bytes must be a finite whole number > 0, "
                       f"got {scenario.data_msg_bytes}")
     if not (is_whole(scenario.payload_bytes) and scenario.payload_bytes > 0):
-        errors.append(f"payload_bytes must be a whole number > 0, "
+        errors.append(f"payload_bytes must be a finite whole number > 0, "
                       f"got {scenario.payload_bytes}")
     elif msg_ok and scenario.payload_bytes > scenario.data_msg_bytes:
         errors.append(
             f"payload ({scenario.payload_bytes} B) exceeds message size "
             f"({scenario.data_msg_bytes} B)")
     return errors
-
-
-def scenario_with(scenario: Scenario, path_index: int, param: str, value: float) -> Scenario:
-    """Copy of `scenario` with one path's `delay` (s) or `rate` (bits/s) replaced."""
-    if param == "delay":
-        new_path = replace(scenario.paths[path_index], delay=value)
-    elif param == "rate":
-        new_path = replace(scenario.paths[path_index], rate_bps=value)
-    else:
-        raise ValueError(f"unknown path parameter {param!r} (expected 'delay' or 'rate')")
-    paths = list(scenario.paths)
-    paths[path_index] = new_path
-    return replace(scenario, paths=tuple(paths))

@@ -27,8 +27,8 @@ then pops the next event and handles it in place.
 from __future__ import annotations
 
 import heapq
-import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -79,14 +79,15 @@ def validate_config(config: SimConfig) -> list[str]:
     errors = []
     if (config.duration is None) == (config.total_chunks is None):
         errors.append("exactly one of duration and total_chunks must be set")
-    if config.duration is not None and not 0 < config.duration < math.inf:
+    if config.duration is not None and not (
+            0 < config.duration <= sys.float_info.max):
         errors.append(f"duration must be finite and > 0, got {config.duration}")
     if config.total_chunks is not None and not (
             is_whole(config.total_chunks) and config.total_chunks >= 1):
-        errors.append(f"total_chunks must be a whole number >= 1, "
+        errors.append(f"total_chunks must be a finite whole number >= 1, "
                       f"got {config.total_chunks}")
     if not (is_whole(config.initial_window) and config.initial_window >= 1):
-        errors.append(f"initial_window must be a whole number >= 1, "
+        errors.append(f"initial_window must be a finite whole number >= 1, "
                       f"got {config.initial_window}")
     if config.loss_signal not in (LOSS_ORACLE, LOSS_TIMEOUT):
         errors.append(f"loss_signal must be {LOSS_ORACLE!r} or {LOSS_TIMEOUT!r}, "

@@ -7,6 +7,7 @@ is built once per module; every simulated point runs 60 simulated seconds at
 seed 0, which is fully deterministic.
 """
 
+import os
 import random
 import time
 
@@ -16,13 +17,15 @@ import _oracle
 import test_properties
 
 from icnflow import (PathSpec, Scenario, SimConfig, StrategyId, cycle,
-                     halving_points, run, scenario_with, wmax)
+                     halving_points, run, wmax)
+from icnflow.cli import load_experiment
 
 BASE = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
 DELAY_MS = list(range(20, 201, 20))
 RATE_MBPS = list(range(2, 41, 2))
 SIM_SECONDS = 60.0
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), "..", "experiments")
 
 
 def _report(name, ok, detail=""):
@@ -33,21 +36,22 @@ def _report(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def sweeps():
-    """{(sweep, value, token): (CycleStats, SimResult)} plus build wall time."""
+    """{(sweep, value, token): (CycleStats, SimResult)} plus build wall time,
+    at the points of the shipped sweep files, as the CLI runs them."""
     t0 = time.time()
     data = {}
-    for d in DELAY_MS:
-        scen = scenario_with(BASE, 1, "delay", d / 1e3)
-        for s in StrategyId:
-            data[("delay", d, s.token)] = (
-                cycle(scen, s),
-                run(scen, s, SimConfig(duration=SIM_SECONDS)))
-    for r in RATE_MBPS:
-        scen = scenario_with(TWIN, 1, "rate", r * 1e6)
-        for s in StrategyId:
-            data[("rate", r, s.token)] = (
-                cycle(scen, s),
-                run(scen, s, SimConfig(duration=SIM_SECONDS)))
+    for name, values, at, scenario in (("delay", DELAY_MS, 120, BASE),
+                                       ("rate", RATE_MBPS, 10, TWIN)):
+        spec = load_experiment(os.path.join(EXPERIMENTS, f"{name}_sweep.exp"))
+        points = list(spec.sweep.points(spec.scenario))
+        # The tests read these values; BASE and TWIN are points of them.
+        assert [v for v, _ in points] == values
+        assert dict(points)[at] == scenario
+        for v, (_, scen) in zip(values, points):
+            for s in StrategyId:
+                data[(name, v, s.token)] = (
+                    cycle(scen, s),
+                    run(scen, s, SimConfig(duration=SIM_SECONDS)))
     return data, time.time() - t0
 
 

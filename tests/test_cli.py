@@ -235,15 +235,38 @@ class TestLoad:
         (MINIMAL.format(out="o") + "sim.loss_signal = never\n",
          "line 8: bad value for sim.loss_signal: expected one of"),
         (MINIMAL.format(out="o") + "sim.fpf_capacity_mode = guessed\n",
-         "line 8: bad value for sim.fpf_capacity_mode: expected one of")],
+         "line 8: bad value for sim.fpf_capacity_mode: expected one of"),
+        (MINIMAL.format(out="o") + "sweep.path = 0\nsweep.param = buffer_msgs"
+         "\nsweep.from = 1\nsweep.to = 2\nsweep.step = 1\n",
+         "line 9: bad value for sweep.param: expected one of")],
         ids=["no_path", "bad_path_value", "missing_path_key",
              "repeated_strategy", "empty_output", "bad_loss_signal",
-             "bad_fpf_capacity_mode"])
+             "bad_fpf_capacity_mode", "bad_sweep_param"])
     def test_one_fault_is_one_problem(self, tmp_path, text, want):
         with pytest.raises(ExperimentError) as e:
             load_experiment(_write(tmp_path, text))
         assert len(e.value.problems) == 1
         assert e.value.problems[0].startswith(want)
+
+
+class TestSweepPoints:
+    BASE = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)),
+                    1500, 1400)
+
+    def test_delay_is_set_in_seconds_and_rate_in_bits_per_second(self):
+        delays = SweepSpec(1, "delay_ms", 50, 200, 150).points(self.BASE)
+        assert [(v, s.paths[1].delay) for v, s in delays] == [(50, 0.05),
+                                                              (200, 0.2)]
+        rates = SweepSpec(0, "rate_mbps", 40, 40, 1).points(self.BASE)
+        assert [(v, s.paths[0].rate_bps) for v, s in rates] == [(40, 40e6)]
+
+    def test_only_the_swept_field_moves(self):
+        before = replace(self.BASE)
+        for value, scen in SweepSpec(0, "rate_mbps", 2, 6, 2).points(self.BASE):
+            assert scen == replace(self.BASE, paths=(
+                replace(self.BASE.paths[0], rate_bps=value * 1e6),
+                self.BASE.paths[1]))
+        assert self.BASE == before  # base itself is untouched
 
 
 class TestRun:
@@ -488,6 +511,9 @@ class TestMain:
         # finite ones whose pipeline overflows a float, raised a raw
         # OverflowError (exit 3, no CSV), an infinite duration never ended,
         # and a NaN or infinite sweep bound failed to count the sweep points.
+        # A whole number past the float range raised an OverflowError in
+        # the loader (exit 1), and a rate whose message rate underflows to 0
+        # a ZeroDivisionError in the model (exit 3).
         for key, line in (("delay", "path.delay_ms = inf\n"
                                     "path.rate_mbps = 10\n"),
                           ("rate", "path.delay_ms = 20\n"
@@ -497,6 +523,11 @@ class TestMain:
                           ("duration", "path.delay_ms = 20\n"
                                        "path.rate_mbps = 10\n"
                                        "sim.duration_s = inf\n"),
+                          ("data_msg_bytes", "path.delay_ms = 20\n"
+                                             "path.rate_mbps = 10\n"
+                                             f"data_msg_bytes = 1{'0' * 400}\n"),
+                          ("backlog", "path.delay_ms = 20\n"
+                                      "path.rate_mbps = 1e-316\n"),
                           ("from", _SWEEP.format("nan", "40", "10")),
                           ("to", _SWEEP.format("20", "inf", "10")),
                           ("step", _SWEEP.format("20", "40", "nan"))):

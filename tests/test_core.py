@@ -5,7 +5,7 @@ import math
 import pytest
 
 from icnflow import (PathSpec, Scenario, StrategyId, pipeline_capacity,
-                     rate_msgs, scenario_with, validate)
+                     rate_msgs, validate)
 from icnflow.core import rtt
 
 MSG = 4876
@@ -97,15 +97,20 @@ class TestValidate:
 
     def test_infinite_and_fractional_path_values_are_rejected(self):
         # Each of these used to pass and then crash pipeline_capacity with an
-        # OverflowError, or be silently used as a fractional buffer.
+        # OverflowError, or be silently used as a fractional buffer; a buffer
+        # past the float range raised in validate() itself, and a message
+        # rate of 0 crashed cycle() with a ZeroDivisionError.
         inf = float("inf")
         for path, word in ((PathSpec(inf, 10e6, 20), "delay"),
                            (PathSpec(0.02, inf, 20), "rate"),
                            (PathSpec(0.02, 10e6, 2.5), "buffer"),
                            (PathSpec(0.02, 10e6, inf), "buffer"),
                            (PathSpec(float("nan"), 10e6, 20), "delay"),
+                           (PathSpec(0.02, 10e6, 10**400), "buffer"),
                            # finite, but 2*delay*rate is not
-                           (PathSpec(1e197, 1e206, 20), "capacity")):
+                           (PathSpec(1e197, 1e206, 20), "capacity"),
+                           # positive, but the message rate underflows to 0
+                           (PathSpec(0.02, 5e-324, 20), "backlog")):
             problems = validate(Scenario((path,)))
             assert len(problems) == 1 and word in problems[0], path
         # A whole float is still a whole number of messages.
@@ -120,23 +125,6 @@ class TestValidate:
                                    (4876, 4096.5, "payload_bytes")):
             problems = validate(Scenario(path, msg, payload))
             assert len(problems) == 1 and word in problems[0], (msg, payload)
-
-
-class TestScenarioWith:
-    def test_replaces_delay(self):
-        s = scenario_with(TWO_PATH, 1, "delay", 0.2)
-        assert s.paths[1].delay == 0.2
-        assert s.paths[0] == TWO_PATH.paths[0]
-        assert TWO_PATH.paths[1].delay == 0.120  # original untouched
-
-    def test_replaces_rate(self):
-        s = scenario_with(TWO_PATH, 0, "rate", 40e6)
-        assert s.paths[0].rate_bps == 40e6
-        assert s.paths[0].delay == TWO_PATH.paths[0].delay
-
-    def test_rejects_unknown_parameter(self):
-        with pytest.raises(ValueError):
-            scenario_with(TWO_PATH, 0, "buffer", 5)
 
 
 class TestStrategyId:

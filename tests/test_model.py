@@ -4,14 +4,14 @@ import csv
 import hashlib
 import os
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from icnflow import (ModelError, PathSpec, RoundStats, Scenario, SimConfig,
-                     StrategyId, cycle, pipeline_capacity, rate_msgs,
-                     scenario_with, wmax)
+                     StrategyId, cycle, pipeline_capacity, rate_msgs, wmax)
 from icnflow import sharing
-from icnflow.cli import (_KEYS, ExperimentSpec, SweepSpec, load_experiment,
+from icnflow.cli import (ExperimentSpec, SweepSpec, load_experiment,
                          run_experiment)
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
@@ -30,13 +30,9 @@ EXPERIMENTS = os.path.join(os.path.dirname(__file__), "..", "experiments")
 
 
 def _sweep_points(name):
-    """The scenarios at each point of a shipped sweep, built as the CLI
-    builds them."""
+    """The scenarios at each point of a shipped sweep, as the CLI runs them."""
     spec = load_experiment(os.path.join(EXPERIMENTS, f"{name}.exp"))
-    _, _, to_si = _KEYS["path." + spec.sweep.param]
-    return [scenario_with(spec.scenario, spec.sweep.path_index,
-                          spec.sweep.param.split("_")[0], to_si(v))
-            for v in spec.sweep.values()]
+    return [scen for _, scen in spec.sweep.points(spec.scenario)]
 
 
 class TestWmax:
@@ -267,7 +263,8 @@ class TestCycle:
 
     def test_invalid_scenario_is_a_value_error(self):
         # As in run(): core.validate()'s problems, not a division by zero.
-        stopped = scenario_with(TWO_PATH, 1, "rate", 0.0)
+        near, far = TWO_PATH.paths
+        stopped = Scenario((near, replace(far, rate_bps=0.0)))
         with pytest.raises(ValueError, match="path 1: rate_bps"):
             cycle(stopped, StrategyId.PE)
 
@@ -370,7 +367,8 @@ class TestSweep:
         # and never falls below what path 1 alone can carry.  The rate curve
         # itself has small floor-rounding wiggles, so it is not asserted to
         # be monotone.
-        pts = [cycle(scenario_with(TWO_PATH, 1, "delay", d / 1e3),
+        near, far = TWO_PATH.paths
+        pts = [cycle(Scenario((near, replace(far, delay=d / 1e3))),
                      StrategyId.FPF) for d in range(20, 201, 20)]
         ws = [p.w_max for p in pts]
         ys = [p.y_msgs_per_s for p in pts]

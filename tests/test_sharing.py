@@ -172,14 +172,24 @@ class TestLookup:
                 placements(TWIN, s)
 
 
-def test_sharing_imports_only_from_core():
-    # Both engines sit on the strategies, so sharing reaches no further down
-    # the package than core: nothing from model, sim or cli.
-    src = Path(__file__).resolve().parents[1] / "src" / "icnflow" / "sharing.py"
-    tree = ast.parse(src.read_text(encoding="utf-8"))
+SRC = Path(__file__).resolve().parents[1] / "src" / "icnflow"
+# The package modules each module may import: core <- sharing <- {model,
+# sim} <- cli, and only the package root and `python -m` reach cli.
+LAYERS = {"core": set(), "sharing": {"core"}, "model": {"core", "sharing"},
+          "sim": {"core", "sharing"}, "cli": {"core", "sharing", "model", "sim"},
+          "__init__": {"core", "sharing", "model", "sim", "cli"},
+          "__main__": {"cli"}}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_module_imports_only_the_layers_above_it(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
-            assert (node.level, node.module) == (1, "core"), ast.unparse(node)
+            names = ([node.module] if node.module
+                     else [a.name for a in node.names])
+            assert node.level == 1 and set(names) <= LAYERS[module], \
+                ast.unparse(node)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = ([node.module] if isinstance(node, ast.ImportFrom)
                      else [a.name for a in node.names])

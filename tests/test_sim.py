@@ -40,6 +40,8 @@ class TestConfigValidation:
         for cfg, word in ((SimConfig(duration=float("inf")), "duration"),
                           (SimConfig(total_chunks=2.5), "total_chunks"),
                           (SimConfig(duration=1.0, initial_window=1.5),
+                           "initial_window"),
+                          (SimConfig(duration=1.0, initial_window=10**400),
                            "initial_window")):
             problems = validate_config(cfg)
             assert len(problems) == 1 and word in problems[0], cfg
