@@ -72,6 +72,14 @@ def is_whole(x) -> bool:
     return abs(x) <= sys.float_info.max and x == math.floor(x)
 
 
+def shown(x) -> str:
+    """`x` as a problem message prints it.  An int past the float range is
+    named instead: str() refuses one of more than 4300 digits."""
+    if isinstance(x, int) and not abs(x) <= sys.float_info.max:
+        return "a whole number past the float range"
+    return f"{x}"
+
+
 def validate(scenario: Scenario) -> list[str]:
     """Returns the list of problems; an empty list means usable."""
     errors = []
@@ -81,14 +89,15 @@ def validate(scenario: Scenario) -> list[str]:
     for i, p in enumerate(scenario.paths):
         found = len(errors)
         if not 0 < p.delay <= sys.float_info.max:
-            errors.append(f"path {i}: delay must be finite and > 0, got {p.delay}")
+            errors.append(f"path {i}: delay must be finite and > 0, "
+                          f"got {shown(p.delay)}")
         if not 0 < p.rate_bps <= sys.float_info.max:
-            errors.append(
-                f"path {i}: rate_bps must be finite and > 0, got {p.rate_bps}")
+            errors.append(f"path {i}: rate_bps must be finite and > 0, "
+                          f"got {shown(p.rate_bps)}")
         if not (is_whole(p.buffer_msgs) and p.buffer_msgs >= 0):
             errors.append(
                 f"path {i}: buffer_msgs must be a finite whole number >= 0, "
-                f"got {p.buffer_msgs}")
+                f"got {shown(p.buffer_msgs)}")
         if len(errors) > found or not msg_ok:
             continue
         msg_rate = rate_msgs(scenario, i)
@@ -101,10 +110,10 @@ def validate(scenario: Scenario) -> list[str]:
                           "pipeline's backlog time overflows a float")
     if not msg_ok:
         errors.append(f"data_msg_bytes must be a finite whole number > 0, "
-                      f"got {scenario.data_msg_bytes}")
+                      f"got {shown(scenario.data_msg_bytes)}")
     if not (is_whole(scenario.payload_bytes) and scenario.payload_bytes > 0):
         errors.append(f"payload_bytes must be a finite whole number > 0, "
-                      f"got {scenario.payload_bytes}")
+                      f"got {shown(scenario.payload_bytes)}")
     elif msg_ok and scenario.payload_bytes > scenario.data_msg_bytes:
         errors.append(
             f"payload ({scenario.payload_bytes} B) exceeds message size "

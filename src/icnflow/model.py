@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .core import Scenario, StrategyId, pipeline_capacity, rate_msgs, validate
+from .core import (Scenario, StrategyId, pipeline_capacity, rate_msgs, rtt,
+                   validate)
 from .sharing import placements, sharing_function
 
 # A window past this is a misconfigured scenario (runaway buffer or rate),
@@ -106,51 +107,65 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
 
 def _rounds(scenario: Scenario, strategy: StrategyId, w_lo: int, w_hi: int,
             steps):
-    """Each round of the cycle as `(w, pending, per_rate, b_k)`, windows
-    w_lo..w_hi in order: the one place a round's arithmetic is done.
+    """Each round of the cycle as `(w, pending, b_k)`, windows w_lo..w_hi
+    in order: the one place a round's aggregate rate is made, in O(1)
+    arithmetic per round.
 
-    pe/ug split every window evenly; re/cf/fpf replay the walk's steps with
-    no picks, and step w moves one path's pending and rate (linear in
-    w_max).  b_k adds the per-path rates left to right from 0.0, the same
-    on any Python.  `pending` and `per_rate` may be lists that the next
-    round changes in place: copy what you keep.
+    pe/ug: at the even share x = w/n a path delivers x/(2·delay) until its
+    backlog time x/rate passes 2·delay, and its rate after, so b_k is x
+    times the unsaturated paths' sum of 1/(2·delay) plus the saturated
+    paths' sum of rates.  Sorted once by saturation point 2·delay·rate, the
+    saturated paths are a prefix that only grows with x; both sums come
+    from arrays built once, not from a running total that would drift.
+    `pending` is None: the rounds view builds the even split.
+    re/cf/fpf replay the walk's steps with no picks; step w moves one
+    path's pending and rate, and b_k trades its old rate for the new.
+    `pending` is a list the next round changes in place: copy what you
+    keep.  Either way the rounds cost O(n log n + w_max).
     """
     paths = scenario.paths
     n = len(paths)
     rates = [rate_msgs(scenario, i) for i in range(n)]
     two_ds = [2.0 * p.delay for p in paths]
     if steps is None:
-        share = sharing_function(strategy)
+        order = sorted(range(n), key=lambda i: two_ds[i] * rates[i])
+        # sat_rate[k]: rates of the first k paths in `order`, added left to
+        # right; unsat_inv[k]: 1/(2·delay) of the others, added right to left.
+        sat_rate, unsat_inv = [0.0] * (n + 1), [0.0] * (n + 1)
+        for k, i in enumerate(order):
+            sat_rate[k + 1] = sat_rate[k] + rates[i]
+        for k in range(n - 1, -1, -1):
+            unsat_inv[k] = unsat_inv[k + 1] + 1.0 / two_ds[order[k]]
+        k = 0
         for w in range(w_lo, w_hi + 1):
-            pending = share(scenario, w)
-            per_rate = []
-            b_k = 0.0
-            for x, rate, two_d in zip(pending, rates, two_ds):
-                q = x / rate  # core.rtt: max(2·delay, pending/rate)
-                r = x / (q if q > two_d else two_d)
-                per_rate.append(r)
-                b_k += r
-            yield w, pending, per_rate, b_k
+            x = w / n
+            # core.rtt's test: the backlog time passes the propagation floor.
+            while k < n and x / rates[order[k]] > two_ds[order[k]]:
+                k += 1
+            yield w, None, x * unsat_inv[k] + sat_rate[k]
     else:
         pending = [0.0] * n
         per_rate = [0.0] * n
+        b_k = 0.0
         for w, i in enumerate(steps, 1):
             x = pending[i] = pending[i] + 1.0
-            q = x / rates[i]  # core.rtt, as above
+            q = x / rates[i]  # core.rtt: max(2·delay, pending/rate)
             two_d = two_ds[i]
-            per_rate[i] = x / (q if q > two_d else two_d)
+            r = x / (q if q > two_d else two_d)
+            # Old rate out, then new rate in: adding their difference
+            # instead drifted 40 times further from an fsum of the rates
+            # over a 50-path fpf walk.
+            b_k = b_k - per_rate[i] + r
+            per_rate[i] = r
             if w >= w_lo:
-                b_k = 0.0
-                for r in per_rate:
-                    b_k += r
-                yield w, pending, per_rate, b_k
+                yield w, pending, b_k
 
 
 class _Rounds:
     """A cycle's rounds, built only while iterated: a sized, re-iterable
     view that keeps the walk's steps, not the rounds.  len() builds
     nothing; each iteration replays the steps and builds one RoundStats
-    per round."""
+    per round, its per-path rates from core.rtt and b_k from `_rounds`."""
 
     __slots__ = ("_args",)
 
@@ -161,24 +176,34 @@ class _Rounds:
         return self._args[3] - self._args[2] + 1
 
     def __iter__(self):
-        for w, pending, per_rate, b_k in _rounds(*self._args):
-            yield RoundStats(w, tuple(pending), tuple(per_rate), b_k, w / b_k)
+        scenario, strategy = self._args[:2]
+        paths = scenario.paths
+        rates = [rate_msgs(scenario, i) for i in range(len(paths))]
+        even_split = sharing_function(strategy)  # read for pe/ug only
+        for w, pending, b_k in _rounds(*self._args):
+            pending = tuple(even_split(scenario, w) if pending is None
+                            else pending)
+            per_rate = tuple(x / rtt(p, x, r)
+                             for p, x, r in zip(paths, pending, rates))
+            yield RoundStats(w, pending, per_rate, b_k, w / b_k)
 
 
 def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
     """Steady-state statistics of one halving-to-peak window cycle.
 
-    Each window w_lo..w_hi is one round (see `_rounds`).  The cycle's
-    duration adds the rounds' w/b_k left to right from 0.0 straight from
-    the walk, with no per-round objects, so a cycle holds O(n + w_max)
-    memory; `rounds` builds the RoundStats only when iterated.
+    Each window w_lo..w_hi is one round (see `_rounds`), of O(1)
+    arithmetic.  The cycle's duration adds the rounds' w/b_k left to right
+    from 0.0 straight from `_rounds`, with no per-round objects and no
+    per-path tuples, so the rounds cost O(n log n + w_max) time beside the
+    re/cf/fpf walk, and a cycle holds O(n + w_max) memory; `rounds` builds
+    the RoundStats only when iterated.
     """
     w_hi, binding, steps = _walk(scenario, strategy)
     # The halved window never drops below one Interest, so a cycle on a
     # one-Interest peak is the single round w == 1, not an empty round.
     w_lo = max(1, w_hi // 2)
     a_total = 0.0
-    for w, _, _, b_k in _rounds(scenario, strategy, w_lo, w_hi, steps):
+    for w, _, b_k in _rounds(scenario, strategy, w_lo, w_hi, steps):
         a_total += w / b_k
     t_total = (w_lo + w_hi) * (w_hi - w_lo + 1) // 2
     y = t_total / a_total

@@ -1,9 +1,11 @@
 """Forwarding strategies, seen from both sides of the package.
 
 `picker` is each strategy's per-Interest forwarding rule, as the simulator
-runs it.  `sharing_function` is its long-run allocation, as the model reads
-it: a window size H maps to the average number of pending Interests on
-every path.  pe/ug split H evenly.  re/cf/fpf each have one placement process
+runs it.  `sharing_function` is its long-run allocation: a window size H
+maps to the average number of pending Interests on every path.  The model
+sums its rounds without it (in closed form for pe/ug, from `placements`
+for re/cf/fpf); `CycleStats.rounds` reads the even split from it while
+iterated.  pe/ug split H evenly.  re/cf/fpf each have one placement process
 that puts one Interest at a time on a path, and their allocation is its
 first H steps.  re and fpf place as the simulator's picker does before any
 Data comes back; cf keeps the model's least pending/sqrt(RTT) rule, because

@@ -32,7 +32,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Scenario, StrategyId, is_whole, validate
+from .core import Scenario, StrategyId, is_whole, shown, validate
 from .sharing import FaceState, picker
 
 LOSS_ORACLE = "oracle-immediate"
@@ -81,14 +81,15 @@ def validate_config(config: SimConfig) -> list[str]:
         errors.append("exactly one of duration and total_chunks must be set")
     if config.duration is not None and not (
             0 < config.duration <= sys.float_info.max):
-        errors.append(f"duration must be finite and > 0, got {config.duration}")
+        errors.append(f"duration must be finite and > 0, "
+                      f"got {shown(config.duration)}")
     if config.total_chunks is not None and not (
             is_whole(config.total_chunks) and config.total_chunks >= 1):
         errors.append(f"total_chunks must be a finite whole number >= 1, "
-                      f"got {config.total_chunks}")
+                      f"got {shown(config.total_chunks)}")
     if not (is_whole(config.initial_window) and config.initial_window >= 1):
         errors.append(f"initial_window must be a finite whole number >= 1, "
-                      f"got {config.initial_window}")
+                      f"got {shown(config.initial_window)}")
     if config.loss_signal not in (LOSS_ORACLE, LOSS_TIMEOUT):
         errors.append(f"loss_signal must be {LOSS_ORACLE!r} or {LOSS_TIMEOUT!r}, "
                       f"got {config.loss_signal!r}")

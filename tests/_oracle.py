@@ -12,6 +12,7 @@ import heapq
 import math
 import random
 from collections import deque
+from itertools import islice
 
 
 def ref_msg_rate(rate_bps, msg_bytes):
@@ -30,19 +31,25 @@ def _rates(paths, msg_bytes):
     return [ref_msg_rate(r, msg_bytes) for (_, r, _) in paths]
 
 
-def ref_share(paths, msg_bytes, token, h):
-    """Per-path allocation of h pending Interests, as a list of floats."""
+def _ref_windows(paths, msg_bytes, token):
+    """Each window's allocation, h = 0, 1, 2, ..., as a list of floats: one
+    Interest at a time, each to the path with the least key by a linear scan
+    (pe/ug: the even split h/n)."""
     n = len(paths)
     rates = _rates(paths, msg_bytes)
     if token in ("pe", "ug"):
-        return [h / n] * n
+        h = 0
+        while True:
+            yield [h / n] * n
+            h += 1
 
     caps = None
     if token == "fpf":
         caps = [ref_capacity(d, rates[i], b) for i, (d, _, b) in enumerate(paths)]
 
     pending = [0] * n
-    for _ in range(h):
+    while True:
+        yield [float(p) for p in pending]
         choice = None
         choice_key = None
         for i, (d, _, _) in enumerate(paths):
@@ -62,7 +69,12 @@ def ref_share(paths, msg_bytes, token, h):
                 range(n),
                 key=lambda i: (ref_rtt(paths[i][0], rates[i], pending[i]), pending[i], i))
         pending[choice] += 1
-    return [float(p) for p in pending]
+
+
+def ref_share(paths, msg_bytes, token, h):
+    """Per-path allocation of h pending Interests, as a list of floats,
+    rebuilt from zero."""
+    return next(islice(_ref_windows(paths, msg_bytes, token), h, None))
 
 
 def ref_wmax(paths, msg_bytes, token):
@@ -95,6 +107,38 @@ def ref_cycle(paths, msg_bytes, token):
             rate_sum += share[i] / ref_rtt(d, rates[i], share[i])
         total_msgs += w
         total_time += w / rate_sum
+    return w_hi, total_msgs, total_time, total_msgs / total_time
+
+
+def ref_cycle_stream(paths, msg_bytes, token):
+    """ref_cycle's (wmax, delivered_per_cycle, cycle_seconds,
+    msgs_per_second) in O(n) memory, for many paths and large windows.
+
+    One pass over the windows finds the first that overflows; a second pass
+    over the same windows adds the rounds w_lo..w_hi, each round's rate and
+    the cycle's duration with math.fsum.  No allocation is kept past its
+    window, so nothing grows with w_max.
+    """
+    rates = _rates(paths, msg_bytes)
+    caps = [ref_capacity(d, rates[i], b) for i, (d, _, b) in enumerate(paths)]
+    for w_hi, share in enumerate(_ref_windows(paths, msg_bytes, token)):
+        if any(x > c + 1e-9 for x, c in zip(share, caps)):
+            break
+        if w_hi > 10_000_000:
+            raise ValueError("window scan ran away")
+    w_hi -= 1
+    if w_hi < 1:
+        raise ValueError("no feasible window")
+    w_lo = max(1, w_hi // 2)  # a halved window never drops below one
+
+    def round_seconds(w, share):
+        return w / math.fsum(x / ref_rtt(d, rate, x)
+                             for (d, _, _), rate, x in zip(paths, rates, share))
+
+    windows = islice(enumerate(_ref_windows(paths, msg_bytes, token)),
+                     w_lo, w_hi + 1)
+    total_time = math.fsum(round_seconds(w, share) for w, share in windows)
+    total_msgs = sum(range(w_lo, w_hi + 1))
     return w_hi, total_msgs, total_time, total_msgs / total_time
 
 

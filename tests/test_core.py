@@ -99,20 +99,31 @@ class TestValidate:
         # Each of these used to pass and then crash pipeline_capacity with an
         # OverflowError, or be silently used as a fractional buffer; a buffer
         # past the float range raised in validate() itself, and a message
-        # rate of 0 crashed cycle() with a ZeroDivisionError.
+        # rate of 0 crashed cycle() with a ZeroDivisionError.  A value of
+        # more than 4300 digits raised formatting its own problem message.
         inf = float("inf")
+        huge = 10**5000
         for path, word in ((PathSpec(inf, 10e6, 20), "delay"),
                            (PathSpec(0.02, inf, 20), "rate"),
                            (PathSpec(0.02, 10e6, 2.5), "buffer"),
                            (PathSpec(0.02, 10e6, inf), "buffer"),
                            (PathSpec(float("nan"), 10e6, 20), "delay"),
                            (PathSpec(0.02, 10e6, 10**400), "buffer"),
+                           (PathSpec(huge, 10e6, 20), "delay"),
+                           (PathSpec(0.02, huge, 20), "rate"),
+                           (PathSpec(0.02, 10e6, huge), "buffer"),
                            # finite, but 2*delay*rate is not
                            (PathSpec(1e197, 1e206, 20), "capacity"),
                            # positive, but the message rate underflows to 0
                            (PathSpec(0.02, 5e-324, 20), "backlog")):
             problems = validate(Scenario((path,)))
             assert len(problems) == 1 and word in problems[0], path
+        for msg, payload, word in ((huge, 4096, "data_msg_bytes"),
+                                   (4876, huge, "payload_bytes")):
+            problems = validate(Scenario((PathSpec(0.02, 10e6, 20),), msg,
+                                         payload))
+            assert problems == [f"{word} must be a finite whole number > 0, "
+                                "got a whole number past the float range"]
         # A whole float is still a whole number of messages.
         assert validate(Scenario((PathSpec(0.02, 10e6, 20.0),))) == []
 

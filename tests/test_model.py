@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import _oracle
 from icnflow import (ModelError, PathSpec, RoundStats, Scenario, SimConfig,
                      StrategyId, cycle, pipeline_capacity, rate_msgs, wmax)
 from icnflow import sharing
@@ -146,29 +147,29 @@ class TestWmax:
 
 class TestCycle:
     def test_eight_path_cycle_is_pinned(self):
-        pinned = {StrategyId.PE: (120, 978.4068587278767),
-                  StrategyId.UG: (120, 978.4068587278767),
+        pinned = {StrategyId.PE: (120, 978.4068587278764),
+                  StrategyId.UG: (120, 978.4068587278764),
                   StrategyId.RE: (60, 563.4347820777265),
-                  StrategyId.CF: (132, 1064.7304290842337),
-                  StrategyId.FPF: (208, 1142.6283374953562)}
+                  StrategyId.CF: (132, 1064.7304290842333),
+                  StrategyId.FPF: (208, 1142.6283374953555)}
         for s, want in pinned.items():
             cs = cycle(EIGHT, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
 
     def test_sixteen_path_cycle_is_pinned(self):
-        pinned = {StrategyId.PE: (592, 3885.4832161332874),
-                  StrategyId.UG: (592, 3885.4832161332874),
+        pinned = {StrategyId.PE: (592, 3885.4832161332884),
+                  StrategyId.UG: (592, 3885.4832161332884),
                   StrategyId.RE: (74, 1215.2046894048874),
-                  StrategyId.CF: (997, 5367.179947800232),
-                  StrategyId.FPF: (2135, 8809.281569256887)}
+                  StrategyId.CF: (997, 5367.17994780023),
+                  StrategyId.FPF: (2135, 8809.281569256884)}
         for s, want in pinned.items():
             cs = cycle(SIXTEEN, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
 
     def test_fifty_path_cycle_is_pinned(self):
         # The largest walks in the suite: 21 168 and 165 336 placements.
-        pinned = {StrategyId.RE: (21168, 304329.48858433217),
-                  StrategyId.FPF: (165336, 1103349.2780086526)}
+        pinned = {StrategyId.RE: (21168, 304329.4885843287),
+                  StrategyId.FPF: (165336, 1103349.27800864)}
         for s, want in pinned.items():
             cs = cycle(FIFTY, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
@@ -188,7 +189,21 @@ class TestCycle:
                                     cs.y_msgs_per_s, cs.y_gross_bps,
                                     cs.y_net_bps, tuple(cs.rounds))).encode())
         assert digest.hexdigest() == (
-            "4e01ab81f28c52e6163edfd4b7c0e1fcd828223045ead69d87960da6afd6caaa")
+            "989c4ca7047261ef24f3c36a9b3ff64ff8d76c69756fdaabe8eb4b8f8028bc06")
+
+    def test_cycle_agrees_with_the_streaming_reference(self):
+        # Within 1e-9 of a reference that walks the windows straight-line
+        # and adds with fsum: up to 2135 windows on 16 paths.
+        for scen in (_sweep_points("delay_sweep") + _sweep_points("rate_sweep")
+                     + [EIGHT, SIXTEEN]):
+            paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
+            for s in StrategyId:
+                cs = cycle(scen, s)
+                w_max, t, a, y = _oracle.ref_cycle_stream(
+                    paths, scen.data_msg_bytes, s.token)
+                assert (cs.w_max, cs.t_interests) == (w_max, t), s
+                assert cs.a_seconds == pytest.approx(a, rel=1e-9), s
+                assert cs.y_msgs_per_s == pytest.approx(y, rel=1e-9), s
 
     def test_cycle_work_is_linear_in_w_max(self, monkeypatch):
         # One walk to the first overflow (w_max + 1 placements) gives w_max,

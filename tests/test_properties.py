@@ -29,6 +29,7 @@ EXAMPLES = {
     "wmax_boundary": 200,
     "cycle_identities": 100,
     "cycle_rounds": 150,
+    "even_split_order": 150,
     "sim_conservation": 30,
     "sim_determinism": 20,
     "selector_differential": 400,
@@ -197,9 +198,10 @@ def test_cycle_rounds_are_the_per_window_allocations(pool, data, msg_bytes,
                                                      strat):
     # cycle() reads its windows from one walk; each round must still be the
     # allocation rebuilt from zero at that window, and its rates follow
-    # from it bit for bit.  A rebuild costs w_k placement steps, so a cycle
-    # of more than 200 rounds is rebuilt at an even sample of about 200 of
-    # them, its first and last included.
+    # from it bit for bit.  b_k is the model's O(1) per-round sum, which
+    # rounds otherwise than adding the rates.  A rebuild costs w_k placement
+    # steps, so a cycle of more than 200 rounds is rebuilt at an even sample
+    # of about 200 of them, its first and last included.
     scen = Scenario(tuple(pool[k] for k in data.draw(st.lists(
         st.integers(0, len(pool) - 1), min_size=1, max_size=6))), msg_bytes,
         msg_bytes - 780)
@@ -219,11 +221,38 @@ def test_cycle_rounds_are_the_per_window_allocations(pool, data, msg_bytes,
         assert r.per_path_rate == tuple(
             x / rtt(p, x, rate)
             for p, x, rate in zip(scen.paths, r.per_path_pending, rates))
-        b_k = 0.0
-        for x in r.per_path_rate:
-            b_k += x
-        assert r.b_k == b_k
+        assert math.isclose(r.b_k, math.fsum(r.per_path_rate), rel_tol=1e-12)
         assert r.x_k == r.w_k / r.b_k
+
+
+@settings(max_examples=EXAMPLES["even_split_order"], deadline=None,
+          derandomize=True)
+@given(st.lists(st.one_of(_POOL_PATH, _path(buf=st.integers(2, 60))),
+                min_size=1, max_size=6), st.data(),
+       st.sampled_from([StrategyId.PE, StrategyId.UG]))
+def test_even_split_is_blind_to_path_order(paths, data, strat):
+    # The even split's rounds sort the paths by saturation point, so listing
+    # them in another order may change only the last bits of y.  fpf is not
+    # order-blind in general: exact key ties fall to the lower index.
+    order = data.draw(st.permutations(range(len(paths))))
+    results = []
+    for scen in (Scenario(tuple(paths)),
+                 Scenario(tuple(paths[k] for k in order))):
+        try:
+            cs = cycle(scen, strat)
+        except ModelError:
+            results.append(None)
+            continue
+        caps = [pipeline_capacity(p, rate_msgs(scen, i))
+                for i, p in enumerate(scen.paths)]
+        assert caps[cs.binding_path] == min(caps)
+        results.append(cs)
+    a, b = results
+    if a is None or b is None:
+        assert a is b
+        return
+    assert a.w_max == b.w_max
+    assert math.isclose(a.y_msgs_per_s, b.y_msgs_per_s, rel_tol=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,13 @@ class TestConfigValidation:
                           (SimConfig(duration=1.0, initial_window=1.5),
                            "initial_window"),
                           (SimConfig(duration=1.0, initial_window=10**400),
-                           "initial_window")):
+                           "initial_window"),
+                          # More than 4300 digits: the message cannot
+                          # print them.
+                          (SimConfig(total_chunks=10**5000), "total_chunks"),
+                          (SimConfig(duration=1.0, initial_window=10**5000),
+                           "initial_window"),
+                          (SimConfig(duration=10**5000), "duration")):
             problems = validate_config(cfg)
             assert len(problems) == 1 and word in problems[0], cfg
 
