@@ -24,7 +24,8 @@ def ref_rtt(delay_s, msg_rate, pending):
 
 
 def ref_capacity(delay_s, msg_rate, buffer_msgs):
-    return math.floor(2 * delay_s * msg_rate + buffer_msgs)
+    # The slack keeps a whole pipe whole: 2 * 0.145 * 100.0 is 28.999...96.
+    return math.floor(2 * delay_s * msg_rate + buffer_msgs + 1e-9)
 
 
 def _rates(paths, msg_bytes):
@@ -72,47 +73,14 @@ def _ref_windows(paths, msg_bytes, token):
 
 
 def ref_share(paths, msg_bytes, token, h):
-    """Per-path allocation of h pending Interests, as a list of floats,
-    rebuilt from zero."""
+    """Per-path allocation of h pending Interests, as a list of floats: the
+    same walk as ref_cycle's, restarted from zero and stopped after h."""
     return next(islice(_ref_windows(paths, msg_bytes, token), h, None))
 
 
-def ref_wmax(paths, msg_bytes, token):
-    """Largest feasible window, by linear scan from 1 upward."""
-    rates = _rates(paths, msg_bytes)
-    caps = [ref_capacity(d, rates[i], b) for i, (d, _, b) in enumerate(paths)]
-    w = 0
-    while True:
-        share = ref_share(paths, msg_bytes, token, w + 1)
-        if any(share[i] > caps[i] + 1e-9 for i in range(len(paths))):
-            if w == 0:
-                raise ValueError("no feasible window")
-            return w
-        w += 1
-        if w > 100_000:
-            raise ValueError("window scan ran away")
-
-
 def ref_cycle(paths, msg_bytes, token):
-    """(wmax, delivered_per_cycle, cycle_seconds, msgs_per_second)."""
-    w_hi = ref_wmax(paths, msg_bytes, token)
-    w_lo = max(1, w_hi // 2)  # a halved window never drops below one
-    rates = _rates(paths, msg_bytes)
-    total_msgs = 0
-    total_time = 0.0
-    for w in range(w_lo, w_hi + 1):
-        share = ref_share(paths, msg_bytes, token, w)
-        rate_sum = 0.0
-        for i, (d, _, _) in enumerate(paths):
-            rate_sum += share[i] / ref_rtt(d, rates[i], share[i])
-        total_msgs += w
-        total_time += w / rate_sum
-    return w_hi, total_msgs, total_time, total_msgs / total_time
-
-
-def ref_cycle_stream(paths, msg_bytes, token):
-    """ref_cycle's (wmax, delivered_per_cycle, cycle_seconds,
-    msgs_per_second) in O(n) memory, for many paths and large windows.
+    """(wmax, delivered_per_cycle, cycle_seconds, msgs_per_second) in O(n)
+    memory, for many paths and large windows.
 
     One pass over the windows finds the first that overflows; a second pass
     over the same windows adds the rounds w_lo..w_hi, each round's rate and
@@ -195,8 +163,7 @@ def ref_select_face(token, faces, paths, msg_bytes, caps, rng):
             caps = [math.inf if f.est_capacity is None else f.est_capacity
                     for f in faces]
         pool = [i for i in idx if faces[i].pending < caps[i]] or idx
-    return _ref_pick(pool, [(max(2.0 * paths[i][0],
-                                 faces[i].pending / rates[i]),
+    return _ref_pick(pool, [(ref_rtt(paths[i][0], rates[i], faces[i].pending),
                              faces[i].pending) for i in pool], rng)
 
 
@@ -231,8 +198,7 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
     rates = _rates(paths, msg_bytes)
     caps = None
     if token == "fpf" and fpf_caps == "oracle":
-        caps = [math.floor(2.0 * d * rates[i] + b + 1e-9)
-                for i, (d, _, b) in enumerate(paths)]
+        caps = [ref_capacity(d, rates[i], b) for i, (d, _, b) in enumerate(paths)]
     faces = [RefFace() for _ in range(n)]
     rng = random.Random(seed) if seed != 0 else None
     timeout = loss_signal == "timeout"

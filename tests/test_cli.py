@@ -545,22 +545,25 @@ class TestMain:
 
     def test_invalid_model_point_is_exit_3_with_the_other_rows(
             self, tmp_path, capsys):
-        # Rate 0 is no scenario at all: the model reports validate()'s
+        # Rate 0 is no scenario at all: each engine reports validate()'s
         # problem for that point and the valid points still get their rows.
-        path = _write(tmp_path,
-                      "path.delay_ms = 20\npath.rate_mbps = 10\n"
-                      "path.buffer_msgs = 20\n"
-                      "strategies = pe\nmode = model\n"
-                      "sweep.path = 0\nsweep.param = rate_mbps\n"
-                      "sweep.from = 0\nsweep.to = 4\nsweep.step = 2\n"
-                      f"output = {tmp_path / 'rate'}\n")
-        assert main(["sweep", "--experiment", path]) == 3
-        err = capsys.readouterr().err
-        assert "model/pe at 0: path 0: rate_bps" in err
-        with open(tmp_path / "rate-rates.csv") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert [(r[0], r[2]) for r in rows] == [("2", "model"),
-                                                ("4", "model")]
+        for mode, extra in (("model", ""), ("both", "sim.duration_s = 1\n")):
+            path = _write(tmp_path,
+                          "path.delay_ms = 20\npath.rate_mbps = 10\n"
+                          "path.buffer_msgs = 20\n"
+                          f"strategies = pe\nmode = {mode}\n{extra}"
+                          "sweep.path = 0\nsweep.param = rate_mbps\n"
+                          "sweep.from = 0\nsweep.to = 4\nsweep.step = 2\n"
+                          f"output = {tmp_path / mode}\n")
+            assert main(["sweep", "--experiment", path]) == 3
+            err = capsys.readouterr().err
+            engines = ("model", "sim") if mode == "both" else ("model",)
+            for engine in engines:
+                assert f"{engine}/pe at 0: path 0: rate_bps" in err
+            with open(tmp_path / f"{mode}-rates.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert [(r[0], r[2]) for r in rows] == [
+                (v, e) for v in ("2", "4") for e in engines]
 
     def test_per_point_model_failure_is_exit_3(self, tmp_path, capsys):
         path = _write(tmp_path,

@@ -173,17 +173,21 @@ class TestLookup:
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "icnflow"
+# Each source file, and the test oracle, which must import no package module
+# so that a bug in the package cannot leak into the reference results.
+FILES = {p.stem: p for p in SRC.glob("*.py")}
+FILES["_oracle"] = Path(__file__).with_name("_oracle.py")
 # The package modules each module may import: core <- sharing <- {model,
 # sim} <- cli, and only the package root and `python -m` reach cli.
 LAYERS = {"core": set(), "sharing": {"core"}, "model": {"core", "sharing"},
           "sim": {"core", "sharing"}, "cli": {"core", "sharing", "model", "sim"},
           "__init__": {"core", "sharing", "model", "sim", "cli"},
-          "__main__": {"cli"}}
+          "__main__": {"cli"}, "_oracle": set()}
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(FILES))
 def test_module_imports_only_the_layers_above_it(module):
-    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    tree = ast.parse(FILES[module].read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             names = ([node.module] if node.module
