@@ -84,8 +84,8 @@ def ref_cycle(paths, msg_bytes, token):
 
     One pass over the windows finds the first that overflows; a second pass
     over the same windows adds the rounds w_lo..w_hi, each round's rate and
-    the cycle's duration with math.fsum.  No allocation is kept past its
-    window, so nothing grows with w_max.
+    the cycle's duration left to right, in the order they are listed.  No
+    allocation is kept past its window, so nothing grows with w_max.
     """
     rates = _rates(paths, msg_bytes)
     caps = [ref_capacity(d, rates[i], b) for i, (d, _, b) in enumerate(paths)]
@@ -99,14 +99,15 @@ def ref_cycle(paths, msg_bytes, token):
         raise ValueError("no feasible window")
     w_lo = max(1, w_hi // 2)  # a halved window never drops below one
 
-    def round_seconds(w, share):
-        return w / math.fsum(x / ref_rtt(d, rate, x)
-                             for (d, _, _), rate, x in zip(paths, rates, share))
-
-    windows = islice(enumerate(_ref_windows(paths, msg_bytes, token)),
-                     w_lo, w_hi + 1)
-    total_time = math.fsum(round_seconds(w, share) for w, share in windows)
-    total_msgs = sum(range(w_lo, w_hi + 1))
+    total_msgs = 0
+    total_time = 0.0
+    for w, share in islice(enumerate(_ref_windows(paths, msg_bytes, token)),
+                           w_lo, w_hi + 1):
+        rate_sum = 0.0
+        for (d, _, _), rate, x in zip(paths, rates, share):
+            rate_sum += x / ref_rtt(d, rate, x)
+        total_msgs += w
+        total_time += w / rate_sum
     return w_hi, total_msgs, total_time, total_msgs / total_time
 
 

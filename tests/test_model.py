@@ -193,7 +193,7 @@ class TestCycle:
 
     def test_cycle_agrees_with_the_reference(self):
         # Within 1e-9 of a reference that walks the windows straight-line
-        # and adds with fsum: up to 2135 windows on 16 paths.  At 4876-byte
+        # and adds left to right: up to 2135 windows on 16 paths.  At 4876-byte
         # messages 3.9008 Mbit/s is 100 msg/s, so the 145 ms path's pipe is
         # exactly 29 messages, which 2 * 0.145 * 100.0 misses by float dust.
         dust = Scenario((PathSpec(0.145, 3.9008e6, 0),
