@@ -15,44 +15,15 @@ The library has four layers:
 
 Each layer imports only from the ones above it (`model` and `sim` both sit
 on `sharing`); `cli` wires all of it to experiment files and CSV output.
+The root exports what a library user needs to ask the question; everything
+else is imported from its module.
 """
 
-from .core import (
-    PathSpec,
-    Scenario,
-    StrategyId,
-    pipeline_capacity,
-    rate_msgs,
-    validate,
-)
-from .sharing import sharing_function
-from .model import (
-    CycleStats,
-    ModelError,
-    RoundStats,
-    cycle,
-    wmax,
-)
-from .sim import (
-    FPF_CAP_ESTIMATED,
-    FPF_CAP_ORACLE,
-    LOSS_ORACLE,
-    LOSS_TIMEOUT,
-    SimConfig,
-    SimResult,
-    halving_points,
-    run,
-    validate_config,
-)
+from .core import PathSpec, Scenario, StrategyId, validate
+from .model import ModelError, cycle, wmax
+from .sim import SimConfig, run
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PathSpec", "Scenario", "StrategyId",
-    "pipeline_capacity", "rate_msgs", "validate",
-    "sharing_function",
-    "CycleStats", "ModelError", "RoundStats", "cycle", "wmax",
-    "FPF_CAP_ESTIMATED", "FPF_CAP_ORACLE", "LOSS_ORACLE", "LOSS_TIMEOUT",
-    "SimConfig", "SimResult", "halving_points", "run", "validate_config",
-    "__version__",
-]
+__all__ = ["PathSpec", "Scenario", "StrategyId", "validate", "ModelError",
+           "cycle", "wmax", "SimConfig", "run", "__version__"]

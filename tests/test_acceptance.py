@@ -16,9 +16,9 @@ import pytest
 import _oracle
 import test_properties
 
-from icnflow import (PathSpec, Scenario, SimConfig, StrategyId, cycle,
-                     halving_points, run, wmax)
+from icnflow import PathSpec, Scenario, SimConfig, StrategyId, cycle, run, wmax
 from icnflow.cli import load_experiment
+from icnflow.sim import halving_points
 
 BASE = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
@@ -76,20 +76,28 @@ def test_even_split_turns_around_at_twice_the_short_pipe():
               SimConfig(duration=SIM_SECONDS, trace_window=True))
     peaks = halving_points(res.window_trace)
     first_peak, first_floor = peaks[0]
-    ok = abs(first_peak - 62) <= 2 and abs(first_floor - 31) <= 1
+    # After the first take, the steady cycles repeat at the same peak.
+    steady = {p for p, _ in peaks[1:]}
+    ok = (abs(first_peak - 62) <= 2 and abs(first_floor - 31) <= 1
+          and len(steady) <= 2)
     _report("even split first loss and post-loss window",
-            ok, f"first cycle {peaks[0]}, closed-form max 60")
+            ok, f"first cycle {peaks[0]}, later peaks {sorted(steady)}, "
+                f"closed-form max 60")
 
 
 def test_round_robin_and_even_split_are_the_same_strategy(sweeps):
+    # The delay points 20 ms and 120 ms are TWIN and BASE, so the model
+    # check covers both.
     data, _ = sweeps
     worst = 0.0
     exact = True
     for d in DELAY_MS:
         pe_mod, pe_sim = data[("delay", d, "pe")]
         ug_mod, ug_sim = data[("delay", d, "ug")]
-        exact &= (pe_mod.y_msgs_per_s == ug_mod.y_msgs_per_s
-                  and pe_mod.w_max == ug_mod.w_max)
+        exact &= ((pe_mod.w_max, pe_mod.t_interests, pe_mod.a_seconds,
+                   pe_mod.y_msgs_per_s)
+                  == (ug_mod.w_max, ug_mod.t_interests, ug_mod.a_seconds,
+                      ug_mod.y_msgs_per_s))
         worst = max(worst, abs(ug_sim.rate_msgs_per_s - pe_sim.rate_msgs_per_s)
                     / pe_sim.rate_msgs_per_s)
     _report("inverse-rtt round robin reproduces the even split",

@@ -5,17 +5,18 @@ import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
-from icnflow import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, PathSpec, Scenario,
-                     SimConfig, SimResult, StrategyId)
+from icnflow import PathSpec, Scenario, SimConfig, StrategyId
 from icnflow.cli import (_KEYS, _MAX_SWEEP_POINTS, ExperimentError,
                          ExperimentSpec, SweepSpec, _fmt, load_experiment,
                          main, run_experiment)
+from icnflow.sim import FPF_CAP_ESTIMATED, LOSS_TIMEOUT, SimResult
 
 HERE = os.path.dirname(__file__)
 EXPERIMENTS = os.path.join(HERE, "..", "experiments")
@@ -238,10 +239,24 @@ class TestLoad:
          "line 8: bad value for sim.fpf_capacity_mode: expected one of"),
         (MINIMAL.format(out="o") + "sweep.path = 0\nsweep.param = buffer_msgs"
          "\nsweep.from = 1\nsweep.to = 2\nsweep.step = 1\n",
-         "line 9: bad value for sweep.param: expected one of")],
+         "line 9: bad value for sweep.param: expected one of"),
+        (MINIMAL.format(out="o") + "sim.seed 3\n",
+         "line 8: expected key = value"),
+        (MINIMAL.format(out="o") + "mode = sim\n",
+         "line 8: duplicate key 'mode'"),
+        ("path.delay_ms = 20\npath.rate_mbps = 10\npath.buffer_msgs = 20\n",
+         "missing key: strategies"),
+        (MINIMAL.format(out="o") + "sweep.path = 1\nsweep.param = delay_ms"
+         "\nsweep.from = 1\nsweep.to = 2\nsweep.step = 1\n",
+         "sweep.path 1 out of range"),
+        (MINIMAL.format(out="o") + "sweep.path = 0\nsweep.param = delay_ms"
+         "\nsweep.from = 1\nsweep.to = 2\nsweep.step = 0\n",
+         "sweep.step must be > 0")],
         ids=["no_path", "bad_path_value", "missing_path_key",
              "repeated_strategy", "empty_output", "bad_loss_signal",
-             "bad_fpf_capacity_mode", "bad_sweep_param"])
+             "bad_fpf_capacity_mode", "bad_sweep_param", "no_equals_sign",
+             "duplicate_key", "no_strategies", "sweep_path_out_of_range",
+             "zero_sweep_step"])
     def test_one_fault_is_one_problem(self, tmp_path, text, want):
         with pytest.raises(ExperimentError) as e:
             load_experiment(_write(tmp_path, text))
@@ -587,6 +602,15 @@ class TestMain:
         assert rows[0]["source"] == "model"
         assert rows[0]["w_max_or_peak"] == "111"
 
+    def test_seed_option_overrides_the_file(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr("icnflow.cli.run_experiment",
+                            lambda spec: seen.append(spec) or 0)
+        path = _write(tmp_path, MINIMAL.format(out=tmp_path / "s")
+                      + "sim.duration_s = 1\nsim.seed = 3\n")
+        assert main(["sim", "--experiment", path, "--seed", "5"]) == 0
+        assert [spec.sim.seed for spec in seen] == [5]
+
     def test_trace_subcommand_forces_traces(self, tmp_path):
         exp = _write(tmp_path, "path.delay_ms = 20\npath.rate_mbps = 10\n"
                                "path.buffer_msgs = 20\nstrategies = re\n"
@@ -605,3 +629,17 @@ class TestMain:
         assert "wrote" in done.stdout
         with open(tmp_path / "m-rates.csv") as fh:
             assert [r["strategy"] for r in csv.DictReader(fh)] == ["pe"]
+
+
+def test_readme_library_examples_run():
+    # The README's Python blocks, joined (the second reads the first's
+    # `scen`), run from a checkout as a user would.
+    root = os.path.join(HERE, "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(),
+                            re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-c", "".join(blocks)], cwd=root,
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

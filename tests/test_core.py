@@ -1,12 +1,9 @@
 """Unit tests for the domain types and per-path formulas."""
 
-import math
-
 import pytest
 
-from icnflow import (PathSpec, Scenario, StrategyId, pipeline_capacity,
-                     rate_msgs, validate)
-from icnflow.core import rtt
+from icnflow import PathSpec, Scenario, StrategyId, validate
+from icnflow.core import pipeline_capacity, rate_msgs, rtt
 
 MSG = 4876
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))

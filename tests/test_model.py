@@ -1,6 +1,5 @@
 """Unit tests for the cycle-average receive-rate model."""
 
-import csv
 import hashlib
 import os
 import tracemalloc
@@ -9,11 +8,11 @@ from dataclasses import replace
 import pytest
 
 import _oracle
-from icnflow import (ModelError, PathSpec, RoundStats, Scenario, SimConfig,
-                     StrategyId, cycle, pipeline_capacity, rate_msgs, wmax)
+from icnflow import ModelError, PathSpec, Scenario, StrategyId, cycle, wmax
 from icnflow import sharing
-from icnflow.cli import (ExperimentSpec, SweepSpec, load_experiment,
-                         run_experiment)
+from icnflow.cli import load_experiment
+from icnflow.core import pipeline_capacity, rate_msgs
+from icnflow.model import RoundStats
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
@@ -265,14 +264,6 @@ class TestCycle:
         assert cs.y_msgs_per_s == pytest.approx(cs.t_interests / cs.a_seconds,
                                                 rel=1e-12)
 
-    def test_round_robin_form_matches_even_split_everywhere(self):
-        for scen in (TWO_PATH, TWIN):
-            a, b = cycle(scen, StrategyId.PE), cycle(scen, StrategyId.UG)
-            assert a.w_max == b.w_max
-            assert a.t_interests == b.t_interests
-            assert a.y_msgs_per_s == b.y_msgs_per_s
-            assert a.a_seconds == b.a_seconds
-
     def test_gross_and_net_scaling(self):
         cs = cycle(TWO_PATH, StrategyId.CF)
         assert cs.y_gross_bps / cs.y_msgs_per_s == pytest.approx(8 * 4876,
@@ -363,23 +354,6 @@ class TestRoundsOnDemand:
 
 
 class TestSweep:
-    def test_sweeps_in_input_order_with_per_point_errors(self, tmp_path,
-                                                         capsys):
-        # The CLI loop is the one sweep loop.  At 0.1 ms with no buffer,
-        # path 1 holds no message, so that point has no feasible window; it
-        # is reported and the later points still get their rows, in order.
-        spec = ExperimentSpec(
-            Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.0, 10e6, 0))),
-            (StrategyId.PE,), "model", SweepSpec(1, "delay_ms", 0.1, 120.1, 60),
-            SimConfig(), str(tmp_path / "sweep"))
-        assert run_experiment(spec) == 3
-        err = capsys.readouterr().err
-        assert "model/pe at 0.1:" in err and "window" in err
-        with open(tmp_path / "sweep-rates.csv") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert [r[0] for r in rows] == ["60.1", "120.1"]
-        assert all(r[2] == "model" and float(r[3]) > 0 for r in rows)
-
     def test_delay_sweep_shape_for_capacity_filling(self):
         # Stretching path 2 lengthens its pipe, so the overflow window grows
         # point over point, while the achieved rate is best with equal paths

@@ -12,12 +12,12 @@ from dataclasses import asdict, replace
 from hypothesis import given, settings, strategies as st
 
 import _oracle
-from icnflow import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
-                     LOSS_TIMEOUT, ModelError, PathSpec, Scenario, SimConfig,
-                     StrategyId, cycle, pipeline_capacity, rate_msgs, run,
-                     sharing_function, wmax)
-from icnflow.core import rtt
-from icnflow.sharing import FaceState, picker
+from icnflow import (ModelError, PathSpec, Scenario, SimConfig, StrategyId,
+                     cycle, run, wmax)
+from icnflow.core import pipeline_capacity, rate_msgs, rtt
+from icnflow.sharing import FaceState, picker, sharing_function
+from icnflow.sim import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
+                         LOSS_TIMEOUT)
 
 EXAMPLES = {
     "vector_invariants": 300,
@@ -162,7 +162,7 @@ def test_wmax_is_the_last_window_that_fits(pool, data, msg_bytes, strat):
 @settings(max_examples=EXAMPLES["cycle_identities"], deadline=None,
           derandomize=True)
 @given(_feasible_scenario(), ALL_STRATEGIES)
-def test_cycle_identities_and_permutation_symmetry(scen, strat):
+def test_cycle_identities(scen, strat):
     cs = cycle(scen, strat)
     w = cs.w_max
     assert w >= 1
@@ -173,15 +173,6 @@ def test_cycle_identities_and_permutation_symmetry(scen, strat):
     assert math.isclose(cs.y_gross_bps,
                         cs.y_msgs_per_s * 8 * scen.data_msg_bytes,
                         rel_tol=1e-12)
-    if strat in (StrategyId.PE, StrategyId.UG):
-        # Only the even-split strategies are exactly order-blind; the
-        # one-at-a-time strategies break metric ties by path index, so
-        # reordering paths that tie can shift an allocation by one unit.
-        flipped = Scenario(tuple(reversed(scen.paths)), scen.data_msg_bytes,
-                           scen.payload_bytes)
-        back = cycle(flipped, strat)
-        assert back.w_max == cs.w_max
-        assert math.isclose(back.y_msgs_per_s, cs.y_msgs_per_s, rel_tol=1e-9)
 
 
 @settings(max_examples=EXAMPLES["cycle_rounds"], deadline=None,

@@ -1,14 +1,11 @@
 """Unit tests for the event-driven simulator."""
 
-import csv
-
 import pytest
 
-from icnflow import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, PathSpec,
-                     Scenario, SimConfig, StrategyId, halving_points,
-                     pipeline_capacity, rate_msgs, run, validate_config)
-from icnflow.cli import ExperimentSpec, SweepSpec, run_experiment
-from icnflow.sim import FaceState, select_face
+from icnflow import PathSpec, Scenario, SimConfig, StrategyId, run
+from icnflow.core import pipeline_capacity, rate_msgs
+from icnflow.sim import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, FaceState,
+                         halving_points, select_face, validate_config)
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 MSG_SECONDS = 4876 * 8 / 10e6  # service time of one message at 10 Mbps
@@ -33,6 +30,8 @@ class TestConfigValidation:
         assert validate_config(SimConfig(duration=1.0, initial_window=0)) != []
         assert validate_config(SimConfig(duration=1.0,
                                          loss_signal="carrier-pigeon")) != []
+        assert validate_config(SimConfig(duration=1.0,
+                                         fpf_capacity_mode="guessed")) != []
 
     def test_infinite_and_fractional_values_are_rejected(self):
         # An infinite duration would never end; fractional counts have no
@@ -120,25 +119,6 @@ class TestBufferCensus:
 
 
 class TestSawtooth:
-    def test_even_split_landmark(self):
-        res = run(TWO_PATH, StrategyId.PE, SimConfig(duration=60.0,
-                                                     trace_window=True))
-        peaks = halving_points(res.window_trace)
-        assert peaks
-        first_peak, first_floor = peaks[0]
-        assert abs(first_peak - 62) <= 2
-        assert abs(first_floor - 31) <= 1
-        # steady cycles repeat at the same peak
-        assert len({p for p, _ in peaks[1:]}) <= 2
-
-    def test_capacity_filling_landmark(self):
-        res = run(TWO_PATH, StrategyId.FPF, SimConfig(duration=60.0,
-                                                      trace_window=True))
-        peaks = halving_points(res.window_trace)
-        assert peaks
-        assert all(abs(p - 111) <= 2 for p, _ in peaks)
-        assert all(abs(f - 55) <= 2 for _, f in peaks)
-
     def test_single_path_saturates_its_bottleneck(self):
         one = Scenario((PathSpec(0.020, 10e6, 20),))
         res = run(one, StrategyId.RE, SimConfig(duration=30.0))
@@ -208,18 +188,6 @@ class TestOtherModes:
         assert res.delivered_msgs > 0
         assert res.losses > 0
         assert halving_points(res.window_trace)
-
-    def test_sweep_collects_results_and_errors(self, tmp_path):
-        # The CLI loop is the one sweep loop: every point gets a sim row, in
-        # sweep order, and none is reported as failed.
-        spec = ExperimentSpec(TWO_PATH, (StrategyId.PE,), "sim",
-                              SweepSpec(1, "delay_ms", 40, 120, 80),
-                              SimConfig(duration=5.0), str(tmp_path / "sw"))
-        assert run_experiment(spec) == 0
-        with open(tmp_path / "sw-rates.csv") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert [r[0] for r in rows] == ["40", "120"]
-        assert all(r[2] == "sim" and float(r[3]) > 0 for r in rows)
 
 
 class TestTrace:
