@@ -29,7 +29,6 @@ underneath works in seconds and bits/s.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -314,12 +313,15 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _build_parser():
+    # argparse is imported here, not at the top: library users who only
+    # import the package do not pay for it.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(
         prog="icnflow",
         description="Receive-rate model and simulator for windowed "

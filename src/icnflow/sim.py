@@ -17,8 +17,13 @@ detections; under the oracle signal these coincide with the physical drops.
 Each Interest's fate is settled when it is sent.  A face's Interests reach
 its bottleneck in send order (one fixed delay per face, and send times never
 decrease), so the FIFO can be run for each one at once, at its arrival
-instant; the Interest then costs one heap event: its Data's return, or the
-loss detection.  Only Data that returns at or after its timer costs two.
+instant; the Interest then costs one event: its Data's return, or the loss
+detection.  Only Data that returns at or after its timer costs two.  A face's
+Data leaves its bottleneck in send order and crosses one fixed delay, so the
+face's returns are already sorted: they wait in a queue per face, and only
+each face's earliest return sits on the heap, next to the loss and timer
+events.  The heap holds at most one return per face, not one per Interest in
+flight.
 
 `run()` is one loop: each pass first sends one Interest per free window slot,
 then pops the next event and handles it in place.
@@ -27,6 +32,7 @@ then pops the next event and handles it in place.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import sys
 from collections import deque
@@ -49,7 +55,9 @@ _RTT_ALPHA = 0.125
 # Learned capacity after a loss: keep this fraction of what was in flight.
 _EST_GUARD = 0.75
 
-# Event kinds.  Heap entries are (time, sched, cause, seq, kind, face, chunk).
+# Event kinds.  Events are (time, sched, cause, seq, kind, face, chunk).  The
+# heap holds the loss events and each face's earliest return (Data or late
+# Data); the face's later returns wait in its queue, already in this order.
 # Equal times are ordered as an engine that also ran each bottleneck arrival
 # as an event, ordering its heap by (time, push order), orders them: `sched`
 # is the instant that engine pushes the event (the bottleneck arrival for
@@ -151,13 +159,17 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
 
     # Per face: its state, its bottleneck (finish times of the Data messages
     # it holds, head in transmission and the rest in the buffer, as of the
-    # last arrival there), one-way delay, service time and buffer size.
+    # last arrival there), one-way delay, service time, buffer size, and its
+    # returns: the Data and late-Data events still to come, in send order.
+    returns = [deque() for _ in range(n)]
     lanes = [(f, deque(), p.delay, 8.0 * scenario.data_msg_bytes / p.rate_bps,
-              p.buffer_msgs) for f, p in zip(faces, scenario.paths)]
+              p.buffer_msgs, r)
+             for f, p, r in zip(faces, scenario.paths, returns)]
 
-    heap = []
+    heap = []               # loss events, and the earliest return of each face
     push = heapq.heappush
     pop = heapq.heappop
+    replace = heapq.heapreplace
     seq = 0
 
     wnd = float(config.initial_window)
@@ -166,7 +178,7 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     in_flight = 0
     next_chunk = 0
     retx = deque()          # lost chunks go back to the front of the line
-    total = config.total_chunks
+    stop = config.total_chunks if config.total_chunks is not None else math.inf
     delivered = 0
     per_del = [0] * n
     per_sent = [0] * n
@@ -177,7 +189,7 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     absorb_until = -1.0     # drops before this instant share one halving
     fallback_absorb = 2.0 * max(p.delay for p in scenario.paths)
     trace = [(0.0, cur_w)] if config.trace_window else None
-    end = config.duration  # None while running to a chunk target
+    end = config.duration if config.duration is not None else math.inf
     now = 0.0
     cause = 0.0             # `sched` of the event being handled
 
@@ -187,13 +199,13 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
         while in_flight < cur_w:
             if retx:
                 chunk = retx.popleft()
-            elif total is None or next_chunk < total:
+            elif next_chunk < stop:
                 chunk = next_chunk
                 next_chunk += 1
             else:
                 break
             i = choose()
-            f, q, delay, svc, buf = lanes[i]
+            f, q, delay, svc, buf, rets = lanes[i]
             p = f.pending = f.pending + 1
             if p > max_pending[i]:
                 max_pending[i] = p
@@ -220,39 +232,24 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
                 if not oracle_loss and back >= timer:
                     push(heap, (timer, now, cause, seq, _EV_LOSS, i, chunk))
                     seq += 1
-                    push(heap, (back, t, now, seq, _EV_LATE, i, chunk))
+                    ev = (back, t, now, seq, _EV_LATE, i, chunk)
                 else:
-                    push(heap, (back, t, now, seq, _EV_DATA, i, chunk))
+                    ev = (back, t, now, seq, _EV_DATA, i, chunk)
+                # `back` strictly grows per face, so the face's returns are
+                # already in heap order; only the earliest waits on the heap.
+                if not rets:
+                    push(heap, ev)
+                rets.append(ev)
             seq += 1
 
         if not heap:
             break
-        t, cause, sent, _, kind, i, chunk = pop(heap)
-        if end is not None and t > end:
+        t, cause, sent, _, kind, i, chunk = heap[0]
+        if t > end:
             break
         now = t
-        if kind == _EV_DATA:
-            f = faces[i]
-            f.pending -= 1
-            in_flight -= 1
-            delivered += 1
-            per_del[i] += 1
-            sample = t - sent
-            f.srtt = sample if f.srtt is None else \
-                f.srtt + _RTT_ALPHA * (sample - f.srtt)
-            r_srtt = sample if r_srtt is None else \
-                r_srtt + _RTT_ALPHA * (sample - r_srtt)
-            wnd += 1.0 / wnd
-            w = int(wnd)
-            if w != cur_w:
-                cur_w = w
-                if w > max_w:
-                    max_w = w
-                if trace is not None:
-                    trace.append((t, w))
-            if total is not None and delivered >= total:
-                break
-        elif kind == _EV_LOSS:
+        if kind == _EV_LOSS:
+            pop(heap)
             loss_times.append(t)
             per_drop[i] += 1
             f = faces[i]
@@ -270,10 +267,36 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
                     cur_w = w
                     if trace is not None:
                         trace.append((t, w))
-        else:  # _EV_LATE: the Interest was written off, the Data still counts
+        else:
+            # A return hands its face's next one, if any, to the heap.
+            rets = returns[i]
+            rets.popleft()
+            if rets:
+                replace(heap, rets[0])
+            else:
+                pop(heap)
             delivered += 1
             per_del[i] += 1
-            if total is not None and delivered >= total:
+            # Late Data still counts, but its Interest was already written
+            # off: it moves neither the window nor what is out.
+            if kind == _EV_DATA:
+                f = faces[i]
+                f.pending -= 1
+                in_flight -= 1
+                sample = t - sent
+                f.srtt = sample if f.srtt is None else \
+                    f.srtt + _RTT_ALPHA * (sample - f.srtt)
+                r_srtt = sample if r_srtt is None else \
+                    r_srtt + _RTT_ALPHA * (sample - r_srtt)
+                wnd += 1.0 / wnd
+                w = int(wnd)
+                if w != cur_w:
+                    cur_w = w
+                    if w > max_w:
+                        max_w = w
+                    if trace is not None:
+                        trace.append((t, w))
+            if delivered >= stop:
                 break
 
     elapsed = config.duration if config.duration is not None else now

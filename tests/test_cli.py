@@ -643,3 +643,15 @@ def test_readme_library_examples_run():
     done = subprocess.run([sys.executable, "-c", "".join(blocks)], cwd=root,
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_cli_does_not_import_argparse():
+    # Only main() parses arguments; importing the module for load_experiment
+    # or run_experiment leaves argparse unloaded.
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, icnflow.cli; print('argparse' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

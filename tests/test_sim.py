@@ -1,5 +1,8 @@
 """Unit tests for the event-driven simulator."""
 
+import hashlib
+from dataclasses import astuple
+
 import pytest
 
 from icnflow import PathSpec, Scenario, SimConfig, StrategyId, run
@@ -172,6 +175,23 @@ class TestDeterminismAndSeeds:
         a = run(TWO_PATH, StrategyId.PE, SimConfig(duration=12.0, seed=0))
         b = run(TWO_PATH, StrategyId.PE, SimConfig(duration=12.0, seed=3))
         assert b.delivered_msgs == pytest.approx(a.delivered_msgs, rel=0.05)
+
+    def test_large_window_results_are_pinned(self):
+        # Hundreds of Interests in flight per face, where the other pins stay
+        # near 110: every strategy, with oracle loss and with timeout loss and
+        # estimated fpf caps; the digest covers every SimResult field.
+        fast = Scenario((PathSpec(0.020, 100e6, 200),
+                         PathSpec(0.120, 100e6, 200)))
+        digest = hashlib.sha256()
+        for extra in ({}, {"loss_signal": LOSS_TIMEOUT,
+                           "fpf_capacity_mode": FPF_CAP_ESTIMATED}):
+            cfg = SimConfig(duration=2.0, initial_window=300, seed=1, **extra)
+            for strategy in StrategyId:
+                res = run(fast, strategy, cfg)
+                assert res.max_window >= 300
+                digest.update(repr(astuple(res)).encode())
+        assert digest.hexdigest() == (
+            "d2a3417d05e7170c8e22f99a9cd257a0144b17e7cef31e21bd30ee85fb54e026")
 
 
 class TestOtherModes:
