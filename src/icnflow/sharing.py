@@ -31,7 +31,8 @@ from .core import rtt  # noqa: F401
 @dataclass(slots=True)
 class FaceState:
     pending: int = 0             # Interests outstanding on this face
-    srtt: float | None = None    # smoothed RTT; None until the first sample
+    srtt: float | None = None    # smoothed RTT, kept by the simulator only
+                                 # under ug; None until the first sample
     rr_credit: float = 0.0       # deficit counter for the weighted round robins
     est_capacity: float | None = None  # learned pipeline size (estimated fpf)
 

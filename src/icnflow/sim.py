@@ -154,7 +154,11 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     faces = [FaceState() for _ in range(n)]
     rng = random.Random(config.seed) if config.seed != 0 else None
     oracle_loss = config.loss_signal == LOSS_ORACLE
-    est_mode = config.fpf_capacity_mode == FPF_CAP_ESTIMATED
+    # Face state is kept only where the picker reads it: the per-face RTT
+    # under ug, the learned capacity under estimated fpf.
+    keep_srtt = strategy is StrategyId.UG
+    est_mode = (strategy is StrategyId.FPF
+                and config.fpf_capacity_mode == FPF_CAP_ESTIMATED)
     choose = picker(strategy, faces, scenario, est_mode, rng)
 
     # Per face: its state, its bottleneck (finish times of the Data messages
@@ -284,8 +288,9 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
                 f.pending -= 1
                 in_flight -= 1
                 sample = t - sent
-                f.srtt = sample if f.srtt is None else \
-                    f.srtt + _RTT_ALPHA * (sample - f.srtt)
+                if keep_srtt:
+                    f.srtt = sample if f.srtt is None else \
+                        f.srtt + _RTT_ALPHA * (sample - f.srtt)
                 r_srtt = sample if r_srtt is None else \
                     r_srtt + _RTT_ALPHA * (sample - r_srtt)
                 wnd += 1.0 / wnd

@@ -33,43 +33,35 @@ def _rates(paths, msg_bytes):
 
 
 def _ref_windows(paths, msg_bytes, token):
-    """Each window's allocation, h = 0, 1, 2, ..., as a list of floats: one
-    Interest at a time, each to the path with the least key by a linear scan
-    (pe/ug: the even split h/n)."""
+    """Each window's allocation, h = 0, 1, 2, ..., as a list of floats.
+
+    pe/ug split h evenly.  re/fpf are `ref_select_face` run forward: each
+    Interest goes where the picker sends it with no Data back, so a face's
+    pending only grows.  cf places on the least (pending/sqrt(rtt), pending,
+    index), as the simulator's cf is a stride and not this walk.
+    """
     n = len(paths)
-    rates = _rates(paths, msg_bytes)
     if token in ("pe", "ug"):
         h = 0
         while True:
             yield [h / n] * n
             h += 1
 
+    rates = _rates(paths, msg_bytes)
     caps = None
     if token == "fpf":
         caps = [ref_capacity(d, rates[i], b) for i, (d, _, b) in enumerate(paths)]
-
-    pending = [0] * n
+    faces = [RefFace() for _ in range(n)]
     while True:
-        yield [float(p) for p in pending]
-        choice = None
-        choice_key = None
-        for i, (d, _, _) in enumerate(paths):
-            if caps is not None and pending[i] >= caps[i]:
-                continue
-            cur = ref_rtt(d, rates[i], pending[i])
-            if token == "cf":
-                metric = pending[i] / math.sqrt(cur)
-            else:  # re, fpf
-                metric = cur
-            key = (metric, pending[i], i)
-            if choice is None or key < choice_key:
-                choice, choice_key = i, key
-        if choice is None:
-            # every path at capacity: overflow onto the currently quickest
-            choice = min(
-                range(n),
-                key=lambda i: (ref_rtt(paths[i][0], rates[i], pending[i]), pending[i], i))
-        pending[choice] += 1
+        yield [float(f.pending) for f in faces]
+        if token == "cf":
+            i = min(range(n), key=lambda i: (
+                faces[i].pending / math.sqrt(ref_rtt(paths[i][0], rates[i],
+                                                     faces[i].pending)),
+                faces[i].pending, i))
+        else:
+            i = ref_select_face(token, faces, paths, msg_bytes, caps, None)
+        faces[i].pending += 1
 
 
 def ref_share(paths, msg_bytes, token, h):
@@ -182,7 +174,7 @@ class RefFace:
 
 def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
             total_chunks=None, initial_window=1, seed=0,
-            loss_signal="oracle-immediate", fpf_caps="oracle", alpha=0.125,
+            loss_signal="oracle-immediate", fpf_caps="oracle",
             trace_window=False):
     """One transfer, as a dict of the simulator's result fields.
 
@@ -190,8 +182,10 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
     seq): it reaches the bottleneck, its Data reaches the receiver and, under
     the "timeout" loss signal, its retransmission timer fires, which does
     nothing once the Data is back.  `fpf_caps` is "oracle" or "estimated";
-    a nonzero `seed` breaks exact ties at random.
+    a nonzero `seed` breaks exact ties at random.  The RTTs are smoothed
+    with the simulator's fixed gain of 1/8.
     """
+    alpha = 0.125
     n = len(paths)
     delays = [d for (d, _, _) in paths]
     svc = [8.0 * msg_bytes / r for (_, r, _) in paths]

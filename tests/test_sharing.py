@@ -156,12 +156,6 @@ class TestSimulatorOrder:
 
 
 class TestLookup:
-    def test_every_strategy_is_wired(self):
-        for s in StrategyId:
-            vec = sharing_function(s)(TWO_PATH, 12)
-            assert len(vec) == len(TWO_PATH.paths)
-            assert sum(vec) == pytest.approx(12)
-
     def test_even_splits_have_no_placement_process(self):
         for s in (StrategyId.PE, StrategyId.UG):
             with pytest.raises(ValueError, match="no placement process"):
