@@ -8,17 +8,19 @@ the aggregate rate the sharing sustains, so the steady receive-rate is the
 cycle's message total over the cycle's duration.  One search finds w_max
 and the path whose pipeline bounds it, the one the next Interest would
 overflow; for re/cf/fpf it is a placement walk whose steps the cycle
-replays as its rounds.
+replays as its rounds and then drops.  A returned cycle keeps its numbers,
+its binding path and the range of its windows, nothing per round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
-from .core import (Scenario, StrategyId, pipeline_capacity, rate_msgs, rtt,
-                   validate)
-from .sharing import placements, sharing_function
+from .core import Scenario, StrategyId, pipeline_capacity, rate_msgs, validate
+from .sharing import placements
+# Unused here; bench/tracing.py patches it and its traced run needs it.
+from .sharing import sharing_function  # noqa: F401
 
 # A window past this is a misconfigured scenario (runaway buffer or rate),
 # not a workload worth modeling.
@@ -30,15 +32,6 @@ class ModelError(Exception):
 
 
 @dataclass(frozen=True)
-class RoundStats:
-    w_k: int                             # window held during this round
-    per_path_pending: tuple[float, ...]  # how the window spreads over paths
-    per_path_rate: tuple[float, ...]     # msgs/s each path contributes
-    b_k: float                           # aggregate delivery rate, msgs/s
-    x_k: float                           # round duration, seconds
-
-
-@dataclass(frozen=True)
 class CycleStats:
     w_max: int
     t_interests: int     # messages delivered over one full cycle
@@ -46,7 +39,7 @@ class CycleStats:
     y_msgs_per_s: float  # t_interests / a_seconds
     y_gross_bps: float   # receive-rate counting whole Data messages
     y_net_bps: float     # receive-rate counting payload bytes only
-    rounds: _Rounds = field(compare=False, repr=False)  # built while iterated
+    rounds: range        # the cycle's windows w_lo..w_hi, one round each
     binding_path: int    # path the (w_max + 1)-th Interest overflows;
                          # pe/ug: the lowest-index path of least capacity
 
@@ -107,9 +100,9 @@ def wmax(scenario: Scenario, strategy: StrategyId) -> int:
 
 def _rounds(scenario: Scenario, strategy: StrategyId, w_lo: int, w_hi: int,
             steps):
-    """Each round of the cycle as `(w, pending, b_k)`, windows w_lo..w_hi
-    in order: the one place a round's aggregate rate is made, in O(1)
-    arithmetic per round.
+    """Each round of the cycle as `(w, b_k)`, windows w_lo..w_hi in order:
+    the one place a round's aggregate rate is made, in O(1) arithmetic per
+    round.
 
     pe/ug: at the even share x = w/n a path delivers x/(2·delay) until its
     backlog time x/rate passes 2·delay, and its rate after, so b_k is x
@@ -117,11 +110,9 @@ def _rounds(scenario: Scenario, strategy: StrategyId, w_lo: int, w_hi: int,
     paths' sum of rates.  Sorted once by saturation point 2·delay·rate, the
     saturated paths are a prefix that only grows with x; both sums come
     from arrays built once, not from a running total that would drift.
-    `pending` is None: the rounds view builds the even split.
     re/cf/fpf replay the walk's steps with no picks; step w moves one
     path's pending and rate, and b_k trades its old rate for the new.
-    `pending` is a list the next round changes in place: copy what you
-    keep.  Either way the rounds cost O(n log n + w_max).
+    Either way the rounds cost O(n log n + w_max).
     """
     paths = scenario.paths
     n = len(paths)
@@ -142,7 +133,7 @@ def _rounds(scenario: Scenario, strategy: StrategyId, w_lo: int, w_hi: int,
             # core.rtt's test: the backlog time passes the propagation floor.
             while k < n and x / rates[order[k]] > two_ds[order[k]]:
                 k += 1
-            yield w, None, x * unsat_inv[k] + sat_rate[k]
+            yield w, x * unsat_inv[k] + sat_rate[k]
     else:
         pending = [0.0] * n
         per_rate = [0.0] * n
@@ -158,34 +149,7 @@ def _rounds(scenario: Scenario, strategy: StrategyId, w_lo: int, w_hi: int,
             b_k = b_k - per_rate[i] + r
             per_rate[i] = r
             if w >= w_lo:
-                yield w, pending, b_k
-
-
-class _Rounds:
-    """A cycle's rounds, built only while iterated: a sized, re-iterable
-    view that keeps the walk's steps, not the rounds.  len() builds
-    nothing; each iteration replays the steps and builds one RoundStats
-    per round, its per-path rates from core.rtt and b_k from `_rounds`."""
-
-    __slots__ = ("_args",)
-
-    def __init__(self, scenario, strategy, w_lo, w_hi, steps):
-        self._args = (scenario, strategy, w_lo, w_hi, steps)
-
-    def __len__(self):
-        return self._args[3] - self._args[2] + 1
-
-    def __iter__(self):
-        scenario, strategy = self._args[:2]
-        paths = scenario.paths
-        rates = [rate_msgs(scenario, i) for i in range(len(paths))]
-        even_split = sharing_function(strategy)  # read for pe/ug only
-        for w, pending, b_k in _rounds(*self._args):
-            pending = tuple(even_split(scenario, w) if pending is None
-                            else pending)
-            per_rate = tuple(x / rtt(p, x, r)
-                             for p, x, r in zip(paths, pending, rates))
-            yield RoundStats(w, pending, per_rate, b_k, w / b_k)
+                yield w, b_k
 
 
 def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
@@ -193,17 +157,17 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
 
     Each window w_lo..w_hi is one round (see `_rounds`), of O(1)
     arithmetic.  The cycle's duration adds the rounds' w/b_k left to right
-    from 0.0 straight from `_rounds`, with no per-round objects and no
-    per-path tuples, so the rounds cost O(n log n + w_max) time beside the
-    re/cf/fpf walk, and a cycle holds O(n + w_max) memory; `rounds` builds
-    the RoundStats only when iterated.
+    from 0.0 straight from `_rounds`, with no per-round objects, so the
+    rounds cost O(n log n + w_max) time beside the re/cf/fpf walk.  The
+    walk's steps are dropped on return: a returned cycle holds O(1) memory,
+    and `rounds` is the range of its windows.
     """
     w_hi, binding, steps = _walk(scenario, strategy)
     # The halved window never drops below one Interest, so a cycle on a
     # one-Interest peak is the single round w == 1, not an empty round.
     w_lo = max(1, w_hi // 2)
     a_total = 0.0
-    for w, _, b_k in _rounds(scenario, strategy, w_lo, w_hi, steps):
+    for w, b_k in _rounds(scenario, strategy, w_lo, w_hi, steps):
         a_total += w / b_k
     t_total = (w_lo + w_hi) * (w_hi - w_lo + 1) // 2
     y = t_total / a_total
@@ -214,5 +178,5 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
         y_msgs_per_s=y,
         y_gross_bps=y * 8.0 * scenario.data_msg_bytes,
         y_net_bps=y * 8.0 * scenario.payload_bytes,
-        rounds=_Rounds(scenario, strategy, w_lo, w_hi, steps),
+        rounds=range(w_lo, w_hi + 1),
         binding_path=binding)

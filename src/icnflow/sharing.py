@@ -4,16 +4,17 @@
 runs it.  `sharing_function` is its long-run allocation: a window size H
 maps to the average number of pending Interests on every path.  The model
 sums its rounds without it (in closed form for pe/ug, from `placements`
-for re/cf/fpf); `CycleStats.rounds` reads the even split from it while
-iterated.  pe/ug split H evenly.  re/cf/fpf each have one placement process
-that puts one Interest at a time on a path, and their allocation is its
-first H steps.  re and fpf place as the simulator's picker does before any
-Data comes back; cf keeps the model's least pending/sqrt(RTT) rule, because
-the simulator's cf is a stride over 1/pending.  `placements` walks all
-three on one heap, one heapreplace of the placed path's entry per step, and
-yields each step's path and that path's new pending count, so no walker
-keeps counts of its own.  All of them satisfy sum(allocation) == H and
-allocation >= 0, and allocations only grow with H.
+for re/cf/fpf); the allocation tests and the bench's tracer read it, and so
+would a per-window model record.  pe/ug split H evenly.  re/cf/fpf each have
+one placement process that puts one Interest at a time on a path, and their
+allocation is its first H steps.  re and fpf place as the simulator's
+picker does before any Data comes back; cf keeps the model's least
+pending/sqrt(RTT) rule, because the simulator's cf is a stride over
+1/pending.  `placements` walks all three on one heap, one heapreplace of
+the placed path's entry per step, and yields each step's path and that
+path's new pending count, so no walker keeps counts of its own.  All of
+them satisfy sum(allocation) == H and allocation >= 0, and allocations only
+grow with H.
 """
 
 from __future__ import annotations

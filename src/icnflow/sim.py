@@ -131,7 +131,11 @@ class SimResult:
 
 def select_face(strategy: StrategyId, faces, scenario: Scenario,
                 config: SimConfig, rng=None) -> int:
-    """Pick the face for one outgoing Interest; ug/cf move their credits."""
+    """Pick the face for one outgoing Interest; ug/cf move their credits.
+
+    It builds the strategy's picker anew on every call, so it costs far more
+    than the pick; `run()` builds its picker once.  Kept for the face
+    selection tests and the bench's per-pick timing."""
     return picker(strategy, faces, scenario,
                   config.fpf_capacity_mode == FPF_CAP_ESTIMATED, rng)()
 
@@ -321,12 +325,3 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
         per_face_max_pending=tuple(max_pending),
         max_window=max_w,
         window_trace=tuple(trace) if trace is not None else None)
-
-
-def halving_points(trace):
-    """(peak, post-halving) window pairs read from a window trace."""
-    pairs = []
-    for k in range(1, len(trace)):
-        if trace[k][1] < trace[k - 1][1]:
-            pairs.append((trace[k - 1][1], trace[k][1]))
-    return pairs

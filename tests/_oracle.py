@@ -322,3 +322,12 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
         per_face_inflight=tuple(f.pending for f in faces),
         per_face_max_pending=tuple(max_pending), max_window=max_w,
         window_trace=tuple(trace) if trace is not None else None)
+
+
+def halving_points(trace):
+    """(peak, post-halving) window pairs read from a window trace."""
+    pairs = []
+    for k in range(1, len(trace)):
+        if trace[k][1] < trace[k - 1][1]:
+            pairs.append((trace[k - 1][1], trace[k][1]))
+    return pairs

@@ -18,7 +18,6 @@ import test_properties
 
 from icnflow import PathSpec, Scenario, SimConfig, StrategyId, cycle, run, wmax
 from icnflow.cli import load_experiment
-from icnflow.sim import halving_points
 
 BASE = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
@@ -61,7 +60,7 @@ def test_capacity_filling_fills_both_pipes_before_overflowing():
     res = run(BASE, StrategyId.FPF,
               SimConfig(duration=SIM_SECONDS, trace_window=True))
     wall = time.time() - t0
-    peaks = halving_points(res.window_trace)
+    peaks = _oracle.halving_points(res.window_trace)
     ok = (bool(peaks)
           and all(abs(p - 111) <= 2 for p, _ in peaks)
           and all(abs(f - 55) <= 2 for _, f in peaks)
@@ -74,7 +73,7 @@ def test_even_split_turns_around_at_twice_the_short_pipe():
     assert wmax(BASE, StrategyId.PE) == 60
     res = run(BASE, StrategyId.PE,
               SimConfig(duration=SIM_SECONDS, trace_window=True))
-    peaks = halving_points(res.window_trace)
+    peaks = _oracle.halving_points(res.window_trace)
     first_peak, first_floor = peaks[0]
     # After the first take, the steady cycles repeat at the same peak.
     steady = {p for p, _ in peaks[1:]}

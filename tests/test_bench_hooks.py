@@ -8,6 +8,7 @@ from pathlib import Path
 import icnflow.cli as cli
 import icnflow.model as model
 import icnflow.sharing as sharing
+from icnflow.core import PathSpec, Scenario, StrategyId
 from icnflow.sim import validate_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -23,6 +24,21 @@ def test_layer_tracer_installs_and_restores_every_hook(monkeypatch):
         assert all(getattr(m, name) is not fn
                    for (m, name), fn in zip(hooks, before))
     assert [getattr(m, name) for m, name in hooks] == before
+
+
+def test_cycle_description_counts_the_cycle_windows(monkeypatch):
+    # Every bench run, traced or not, describes each cycle() result by the
+    # number of its rounds, one per window from max(1, w_max // 2) to w_max.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    for scen in (Scenario((PathSpec(0.020, 10e6, 20),
+                           PathSpec(0.120, 10e6, 20))),
+                 Scenario((PathSpec(0.001, 10e6, 1),))):  # w_max 1
+        for s in StrategyId:
+            cs = model.cycle(scen, s)
+            info = tracing._describe_cycle((scen, s), cs)
+            assert info["rounds"] == cs.w_max - max(1, cs.w_max // 2) + 1, s
+            assert info["w_max"] == cs.w_max, s
 
 
 def test_every_workload_builds_from_the_package(monkeypatch, tmp_path):

@@ -12,7 +12,6 @@ from icnflow import ModelError, PathSpec, Scenario, StrategyId, cycle, wmax
 from icnflow import sharing
 from icnflow.cli import load_experiment
 from icnflow.core import pipeline_capacity, rate_msgs
-from icnflow.model import RoundStats
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
@@ -174,9 +173,8 @@ class TestCycle:
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
 
     def test_every_cycle_field_is_pinned(self):
-        # Every field and every round, bit for bit, of each strategy's cycle
-        # on the 30 points of the two shipped sweeps and on the 8- and
-        # 16-path scenarios.
+        # Every field, bit for bit, of each strategy's cycle on the 30 points
+        # of the two shipped sweeps and on the 8- and 16-path scenarios.
         scenarios = (_sweep_points("delay_sweep") + _sweep_points("rate_sweep")
                      + [EIGHT, SIXTEEN])
         assert len(scenarios) == 32
@@ -186,9 +184,10 @@ class TestCycle:
                 cs = cycle(scen, s)
                 digest.update(repr((cs.w_max, cs.t_interests, cs.a_seconds,
                                     cs.y_msgs_per_s, cs.y_gross_bps,
-                                    cs.y_net_bps, tuple(cs.rounds))).encode())
+                                    cs.y_net_bps, cs.binding_path,
+                                    len(cs.rounds))).encode())
         assert digest.hexdigest() == (
-            "989c4ca7047261ef24f3c36a9b3ff64ff8d76c69756fdaabe8eb4b8f8028bc06")
+            "382b6c6fca3e6f1987313e7655c898865dfdf4aceaee940f298acdcdf42f22f2")
 
     def test_cycle_agrees_with_the_reference(self):
         # Within 1e-9 of a reference that walks the windows straight-line
@@ -247,22 +246,10 @@ class TestCycle:
         s = Scenario((path,))
         cs = cycle(s, StrategyId.PE)
         assert cs.w_max == 20
-        assert all(r.x_k == pytest.approx(0.2, rel=1e-12) for r in cs.rounds)
         assert cs.a_seconds == pytest.approx(11 * 0.2, rel=1e-12)
         assert cs.y_msgs_per_s == pytest.approx(sum(range(10, 21)) / 2.2,
                                                 rel=1e-12)
         assert cs.y_msgs_per_s == pytest.approx(75.0, rel=1e-12)
-
-    def test_round_bookkeeping(self):
-        cs = cycle(TWO_PATH, StrategyId.FPF)
-        assert [r.w_k for r in cs.rounds] == list(range(55, 112))
-        for r in cs.rounds:
-            assert r.b_k == pytest.approx(sum(r.per_path_rate), rel=1e-12)
-            assert r.x_k == pytest.approx(r.w_k / r.b_k, rel=1e-12)
-        assert cs.a_seconds == pytest.approx(sum(r.x_k for r in cs.rounds),
-                                             rel=1e-12)
-        assert cs.y_msgs_per_s == pytest.approx(cs.t_interests / cs.a_seconds,
-                                                rel=1e-12)
 
     def test_gross_and_net_scaling(self):
         cs = cycle(TWO_PATH, StrategyId.CF)
@@ -286,71 +273,40 @@ class TestCycle:
 
 
 class TestRoundsOnDemand:
-    # cycle() sums its rounds straight from the walk; CycleStats.rounds
-    # builds the RoundStats only while it is iterated.
+    # cycle() sums its rounds straight from the walk and keeps none of
+    # them: CycleStats.rounds is the range of the cycle's windows.
     SCENARIOS = (TWO_PATH, TWIN, EIGHT,
                  Scenario((PathSpec(0.001, 10e6, 1),)))  # w_max 1: one round
 
-    def test_len_and_cycle_build_no_round(self, monkeypatch):
-        built = [0]
-        real = RoundStats
-
-        def counted(*args):
-            built[0] += 1
-            return real(*args)
-        monkeypatch.setattr("icnflow.model.RoundStats", counted)
-        for scen in self.SCENARIOS:
-            for s in StrategyId:
-                built[0] = 0
-                cs = cycle(scen, s)
-                n = len(cs.rounds)
-                assert n == cs.w_max - max(1, cs.w_max // 2) + 1, s
-                assert built[0] == 0, s
-                assert sum(1 for _ in cs.rounds) == n == built[0], s
-
-    def test_rounds_reiterate_and_sum_to_the_cycle(self):
+    def test_rounds_are_the_cycle_windows(self):
         for scen in self.SCENARIOS:
             for s in StrategyId:
                 cs = cycle(scen, s)
-                once = tuple(cs.rounds)
-                assert tuple(cs.rounds) == once, s
-                assert [r.w_k for r in once] == list(
-                    range(max(1, cs.w_max // 2), cs.w_max + 1)), s
-                assert cycle(scen, s) == cs, s
-                a = 0.0
-                for r in once:
-                    a += r.x_k
-                assert cs.a_seconds == a, s  # bit for bit, left to right
-
-    def test_comparing_cycles_rebuilds_no_round(self, monkeypatch):
-        # == and hash() read a cycle's numbers; only iterating rebuilds.
-        pairs = [(cycle(EIGHT, s), cycle(EIGHT, s)) for s in StrategyId]
-
-        def no_rounds(*args):
-            raise AssertionError("rebuilt the rounds")
-        monkeypatch.setattr("icnflow.model._rounds", no_rounds)
-        for a, b in pairs:
-            assert a == b and hash(a) == hash(b), a
-            with pytest.raises(AssertionError, match="rebuilt"):
-                next(iter(a.rounds))
+                assert cs.rounds == range(max(1, cs.w_max // 2),
+                                          cs.w_max + 1), s
+                again = cycle(scen, s)
+                assert again == cs and hash(again) == hash(cs), s
 
     def test_cycle_memory_does_not_grow_with_the_rounds(self):
         # w_max 4408 (5842 for fpf) on 8 paths.  Built eagerly, the 2200+
         # rounds with two 8-tuples each peak at 0.84-1.4 MB on this
         # scenario, 13-22 times the bound.  What grows with w_max is the
         # walk's list of placed paths, 8 bytes a step (re/cf/fpf), so every
-        # strategy peaks near 50 kB or below.
+        # strategy peaks near 50 kB or below.  cycle() drops the list on
+        # return; a result that kept it would hold 38-48 kB, ten times the
+        # 4 kB bound on what the result keeps.
         big = Scenario(tuple(PathSpec(0.010 * k, 100e6, 500)
                              for k in range(1, 9)))
         for s in StrategyId:
             tracemalloc.start()
             try:
                 cs = cycle(big, s)
-                peak = tracemalloc.get_traced_memory()[1]
+                kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert cs.w_max >= 4408, s
             assert peak < 64_000, (s, peak)
+            assert kept < 4_000, (s, kept)
 
 
 class TestSweep:

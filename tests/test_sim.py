@@ -5,10 +5,11 @@ from dataclasses import astuple
 
 import pytest
 
+import _oracle
 from icnflow import PathSpec, Scenario, SimConfig, StrategyId, run
 from icnflow.core import pipeline_capacity, rate_msgs
 from icnflow.sim import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, FaceState,
-                         halving_points, select_face, validate_config)
+                         select_face, validate_config)
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 MSG_SECONDS = 4876 * 8 / 10e6  # service time of one message at 10 Mbps
@@ -116,7 +117,7 @@ class TestBufferCensus:
         res = run(one, StrategyId.PE, SimConfig(duration=20.0,
                                                 trace_window=True))
         assert res.per_face_max_pending[0] == cap + 1
-        peaks = halving_points(res.window_trace)
+        peaks = _oracle.halving_points(res.window_trace)
         assert peaks, "expected at least one halving"
         assert all(p == (cap + 1, (cap + 1) // 2) for p in peaks)
 
@@ -207,7 +208,7 @@ class TestOtherModes:
                             trace_window=True))
         assert res.delivered_msgs > 0
         assert res.losses > 0
-        assert halving_points(res.window_trace)
+        assert _oracle.halving_points(res.window_trace)
 
 
 class TestTrace:
