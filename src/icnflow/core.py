@@ -67,6 +67,13 @@ def pipeline_capacity(path: PathSpec, msg_rate: float) -> int:
     return math.floor(2.0 * path.delay * msg_rate + path.buffer_msgs + _CAP_EPS)
 
 
+def path_lanes(scenario: Scenario) -> list[tuple[float, float, int]]:
+    """Each path's `(2·delay, message rate, pipeline capacity)`."""
+    rates = [rate_msgs(scenario, i) for i in range(len(scenario.paths))]
+    return [(2.0 * p.delay, r, pipeline_capacity(p, r))
+            for p, r in zip(scenario.paths, rates)]
+
+
 def is_whole(x) -> bool:
     """True for a whole number in the float range: 3 or 3.0, not 2.5 or inf."""
     return abs(x) <= sys.float_info.max and x == math.floor(x)

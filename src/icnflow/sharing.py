@@ -10,11 +10,11 @@ one placement process that puts one Interest at a time on a path, and their
 allocation is its first H steps.  re and fpf place as the simulator's
 picker does before any Data comes back; cf keeps the model's least
 pending/sqrt(RTT) rule, because the simulator's cf is a stride over
-1/pending.  `placements` walks all three on one heap, one heapreplace of
-the placed path's entry per step, and yields each step's path and that
-path's new pending count, so no walker keeps counts of its own.  All of
-them satisfy sum(allocation) == H and allocation >= 0, and allocations only
-grow with H.
+1/pending.  `placements` walks all three on one heap, one heappushpop of
+the placed path's entry per step, and yields each step's path, that path's
+new pending count and its RTT at that count, so no walker keeps counts or
+recomputes an RTT of its own.  All of them satisfy sum(allocation) == H and
+allocation >= 0, and allocations only grow with H.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Scenario, StrategyId, pipeline_capacity, rate_msgs
+from .core import Scenario, StrategyId, path_lanes
 # Unused here; bench/tracing.py patches it and its traced run needs it.
 from .core import rtt  # noqa: F401
 
@@ -130,10 +130,9 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
     # placements() walks the same order on a heap for the model; a test
     # keeps its re/fpf steps equal to this picker's first dispatches.
     oracle = strategy is StrategyId.FPF and not estimated_caps
-    rates = [rate_msgs(scenario, i) for i, _ in lanes]
-    rtt_lanes = [(i, f, 2.0 * p.delay, r,
-                  pipeline_capacity(p, r) if oracle else None)
-                 for (i, f), p, r in zip(lanes, scenario.paths, rates)]
+    rtt_lanes = [(i, f, two_d, rate, cap if oracle else None)
+                 for (i, f), (two_d, rate, cap)
+                 in zip(lanes, path_lanes(scenario))]
 
     def least_rtt(capped=False):
         best, tied, bk, bp = None, None, math.inf, 0
@@ -171,54 +170,58 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 
 def placements(scenario: Scenario, strategy: StrategyId):
     """The re, cf or fpf placement process: an endless walk that yields
-    `(path, pending)` for each successive Interest, the index of the path
-    it is placed on and that path's pending count after it, so its first k
-    paths are window k's allocation.
+    `(path, pending, rtt)` for each successive Interest: the path it is
+    placed on, that path's pending count after it and its core.rtt there,
+    so its first k paths are window k's allocation.
 
     Each path has one heap entry, least first:
       re   (rtt, pending, index)
       cf   (pending/sqrt(rtt), pending, index)
-      fpf  (pending >= cap, rtt, pending, index)
-    with rtt = core.rtt(pending) and cap the oracle pipeline capacity.  The
-    order is the picker's strict < scan over ascending indices, and fpf's
-    flag is its capped scan and the uncapped spill once every cap is
-    reached.  A walk only adds Interests and a path's entry depends on its
-    own pending only, so a step is one heapreplace of the placed path's
-    entry, and no entry goes stale.  pe and ug place no Interest one at a
-    time: they raise ValueError.
+      fpf  (rtt, pending, index), the paths below their cap first
+    with cap the oracle pipeline capacity.  The order is the picker's strict
+    < scan over ascending indices, with fpf's capped scan and its uncapped
+    spill.  A walk only adds Interests and a path's entry depends on its own
+    pending only, so a step pushes the placed path's new entry, built from
+    the rtt it yields, and pops the least; no entry goes stale.  pe and ug
+    place no Interest one at a time: they raise ValueError.
     """
     if strategy not in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
         raise ValueError(f"{strategy.token} has no placement process: "
                          "it splits the window evenly")
-    lanes = []
-    for i, path in enumerate(scenario.paths):
-        rate = rate_msgs(scenario, i)
-        lanes.append((2.0 * path.delay, rate, pipeline_capacity(path, rate)))
+    return _heap_walk(path_lanes(scenario), strategy is StrategyId.CF,
+                      strategy is StrategyId.FPF)
 
-    cf, fpf = strategy is StrategyId.CF, strategy is StrategyId.FPF
 
-    def entry(i, p):
+def _heap_walk(lanes, cf, capped):
+    # The least entry is held out of the heap as `top`, so a step is one
+    # heappushpop: one compare while the same path stays least.  A capped
+    # path at its cap waits in `full`, the heap once no path has room.
+    heap, full, top = [], [], None
+    for i, (two_d, _, cap) in enumerate(lanes):  # rtt at pending 0: 2·delay
+        (full if capped and cap <= 0 else heap).append(
+            (0.0 if cf else two_d, 0, i))
+    heapq.heapify(heap)
+    pushpop, sqrt = heapq.heappushpop, math.sqrt
+    while True:
+        if top is None:
+            if not heap:
+                heap, capped = full, False
+                heapq.heapify(heap)
+            top = heapq.heappop(heap)
+        _, p, i = top
+        p += 1
         two_d, rate, cap = lanes[i]
         k = p / rate
         if k < two_d:  # core.rtt: max(2·delay, pending/rate)
             k = two_d
+        yield i, p, k
         if cf:
-            return p / math.sqrt(k), p, i
-        if fpf:
-            return p >= cap, k, p, i
-        return k, p, i
-    return _heap_walk(entry, len(lanes))
-
-
-def _heap_walk(entry, n):
-    # Every entry ends in (pending, index).
-    heap = [entry(i, 0) for i in range(n)]
-    heapq.heapify(heap)
-    while True:
-        top = heap[0]
-        i, p = top[-1], top[-2] + 1
-        yield i, p
-        heapq.heapreplace(heap, entry(i, p))
+            top = pushpop(heap, (p / sqrt(k), p, i))
+        elif not capped or p < cap:
+            top = pushpop(heap, (k, p, i))
+        else:
+            full.append((k, p, i))
+            top = None
 
 
 def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:
@@ -237,7 +240,7 @@ def sharing_function(strategy: StrategyId):
 
     def stopped(scenario: Scenario, total: int) -> tuple[float, ...]:
         per = [0.0] * len(scenario.paths)
-        for i, _ in islice(placements(scenario, strategy), total):
+        for i, _, _ in islice(placements(scenario, strategy), total):
             per[i] += 1.0
         return tuple(per)
     return stopped

@@ -209,8 +209,8 @@ class TestCycle:
 
     def test_cycle_work_is_linear_in_w_max(self, monkeypatch):
         # One walk to the first overflow (w_max + 1 placements) gives w_max,
-        # the binding path and every window's allocation, which cycle()
-        # replays with no further picks; pe/ug draw none.  Rebuilding every
+        # the binding path and every window's aggregate rate, which cycle()
+        # adds up with no further picks; pe/ug draw none.  Rebuilding every
         # window from zero would draw O(w_max^2) placements.
         drawn = [0]
         real = sharing.placements
@@ -291,10 +291,11 @@ class TestRoundsOnDemand:
         # w_max 4408 (5842 for fpf) on 8 paths.  Built eagerly, the 2200+
         # rounds with two 8-tuples each peak at 0.84-1.4 MB on this
         # scenario, 13-22 times the bound.  What grows with w_max is the
-        # walk's list of placed paths, 8 bytes a step (re/cf/fpf), so every
-        # strategy peaks near 50 kB or below.  cycle() drops the list on
-        # return; a result that kept it would hold 38-48 kB, ten times the
-        # 4 kB bound on what the result keeps.
+        # walk's record of each window's aggregate rate, an array of 8-byte
+        # floats (re/cf/fpf), so every strategy peaks near 50 kB or below; a
+        # list of float objects would peak at 144-188 kB.  cycle() drops the
+        # record on return; a result that kept it would hold 38-48 kB, ten
+        # times the 4 kB bound on what the result keeps.
         big = Scenario(tuple(PathSpec(0.010 * k, 100e6, 500)
                              for k in range(1, 9)))
         for s in StrategyId:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import _oracle
-from icnflow import PathSpec, Scenario, StrategyId, wmax
+from icnflow import PathSpec, Scenario, StrategyId
 from icnflow.core import pipeline_capacity, rate_msgs
 from icnflow.sharing import FaceState, picker, placements, sharing_function
 
@@ -70,16 +70,24 @@ class TestPendingWeighted:
 
     def test_placements_break_exact_ties_as_the_reference_scan(self):
         # For re, cf and fpf, the heap's first h steps must be the reference
-        # scan's allocation at h, up to the first overflow.
+        # scan's allocation at h, and each step's pending count and rtt the
+        # reference's for the placed path, bit for bit.  sum(caps) + n steps
+        # take every walk past every cap, and fpf into its spill.
         for scen in TIES:
             paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
+            rates = [_oracle.ref_msg_rate(r, scen.data_msg_bytes)
+                     for _, r, _ in paths]
+            caps = [_oracle.ref_capacity(d, rate, b)
+                    for (d, _, b), rate in zip(paths, rates)]
             for s in PLACED:
-                w_max = wmax(scen, s)
                 per = [0.0] * len(paths)
                 steps = placements(scen, s)
-                for h in range(1, w_max + 2):
-                    i, _ = next(steps)
+                for h in range(1, sum(caps) + len(caps) + 1):
+                    i, p, rtt = next(steps)
                     per[i] += 1.0
+                    assert p == per[i], (scen, s, h)
+                    assert rtt == _oracle.ref_rtt(paths[i][0], rates[i], p), \
+                        (scen, s, h)
                     assert per == _oracle.ref_share(
                         paths, scen.data_msg_bytes, s.token, h), (scen, s, h)
 
@@ -127,8 +135,8 @@ class TestSimulatorOrder:
                     i = pick()
                     faces[i].pending += 1
                     picked.append(i)
-                assert [i for i, _ in islice(placements(scen, s),
-                                             len(picked))] == picked, (scen, s)
+                walked = islice(placements(scen, s), len(picked))
+                assert [i for i, _, _ in walked] == picked, (scen, s)
                 if s is StrategyId.FPF:
                     assert all(f.pending >= c for f, c in zip(faces, caps))
 
