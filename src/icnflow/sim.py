@@ -55,17 +55,9 @@ _RTT_ALPHA = 0.125
 # Learned capacity after a loss: keep this fraction of what was in flight.
 _EST_GUARD = 0.75
 
-# Event kinds.  Events are (time, sched, cause, seq, kind, face, chunk).  The
-# heap holds the loss events and each face's earliest return (Data or late
-# Data); the face's later returns wait in its queue, already in this order.
-# Equal times are ordered as an engine that also ran each bottleneck arrival
-# as an event, ordering its heap by (time, push order), orders them: `sched`
-# is the instant that engine pushes the event (the bottleneck arrival for
-# Data, the send instant for a loss), `cause` is the `sched` of the event it
-# handles then (for Data the send instant, also the RTT origin), and `seq` is
-# push order here.  Only ties that also reach back past `cause` can come out
-# in another order.  The Interests a pass of run()'s loop sends carry the
-# `sched` of the event the pass before it handled as their `cause`.
+# Event kinds.  Events are (time, seq, kind, face, chunk, sent), `seq` the
+# Interest's send index: equal times go in send order, and an Interest's timer
+# (its _EV_LOSS) before its own late Data.
 _EV_DATA = 0  # Data reached the receiver (before its timer, if any)
 _EV_LOSS = 1  # loss detected: dropped at the bottleneck (oracle) or timer fired
 _EV_LATE = 2  # Data reached the receiver at or after its timer
@@ -147,8 +139,8 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     """Simulate one transfer and return its delivery statistics.
 
     Identical (scenario, strategy, config) always produce an identical
-    result: the event queue is totally ordered (see the `_EV_*` kinds) and
-    the only randomness is the seeded tie-breaker.
+    result: events are totally ordered by (time, send index, kind), see
+    `_EV_*`, and the only randomness is the seeded tie-breaker.
     """
     problems = validate(scenario) + validate_config(config)
     if problems:
@@ -199,7 +191,6 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     trace = [(0.0, cur_w)] if config.trace_window else None
     end = config.duration if config.duration is not None else math.inf
     now = 0.0
-    cause = 0.0             # `sched` of the event being handled
 
     while True:
         # Send one Interest per free window slot.  After late Data nothing
@@ -231,18 +222,17 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
                 # Buffer full: drop-tail.  The message in transmission still
                 # holds its slot until it finishes, so a path sustains at most
                 # 2·delay·rate + buffer in flight, the pipeline capacity.
-                push(heap, (t if oracle_loss else timer, now, cause, seq,
-                            _EV_LOSS, i, chunk))
+                push(heap, (t if oracle_loss else timer, seq, _EV_LOSS, i,
+                            chunk, now))
             else:
                 fin = (q[-1] if q else t) + svc
                 q.append(fin)
                 back = fin + delay
                 if not oracle_loss and back >= timer:
-                    push(heap, (timer, now, cause, seq, _EV_LOSS, i, chunk))
-                    seq += 1
-                    ev = (back, t, now, seq, _EV_LATE, i, chunk)
+                    push(heap, (timer, seq, _EV_LOSS, i, chunk, now))
+                    ev = (back, seq, _EV_LATE, i, chunk, now)
                 else:
-                    ev = (back, t, now, seq, _EV_DATA, i, chunk)
+                    ev = (back, seq, _EV_DATA, i, chunk, now)
                 # `back` strictly grows per face, so the face's returns are
                 # already in heap order; only the earliest waits on the heap.
                 if not rets:
@@ -252,7 +242,7 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
 
         if not heap:
             break
-        t, cause, sent, _, kind, i, chunk = heap[0]
+        t, _, kind, i, chunk, sent = heap[0]
         if t > end:
             break
         now = t

@@ -4,6 +4,10 @@ Everything here is a deliberately straight-line re-derivation: linear scans,
 one-Interest-at-a-time loops, explicit per-round sums.  It takes plain tuples
 (no package imports) so a bug in the package cannot leak into the reference
 results.  Paths are (delay_s, rate_bps, buffer_msgs) triples.
+
+The reference simulator runs every bottleneck arrival, timer and Data return
+as a heap event of its own and keys each by its Interest's send index, so
+events at equal times go in send order, the simulator's own rule.
 """
 
 from __future__ import annotations
@@ -164,6 +168,10 @@ def ref_select_face(token, faces, paths, msg_bytes, caps, rng):
 # the simulator, with the bottleneck arrival, the Data return and the timer
 # of every Interest each a heap event of its own
 
+# An Interest's heap events, in the order they go at equal times.
+_ARRIVE, _TIMER, _DATA = 0, 1, 2
+
+
 class RefFace:
     def __init__(self):
         self.pending = 0
@@ -178,12 +186,14 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
             trace_window=False):
     """One transfer, as a dict of the simulator's result fields.
 
-    Every Interest is up to three heap events, ordered by (time, insertion
-    seq): it reaches the bottleneck, its Data reaches the receiver and, under
-    the "timeout" loss signal, its retransmission timer fires, which does
-    nothing once the Data is back.  `fpf_caps` is "oracle" or "estimated";
-    a nonzero `seed` breaks exact ties at random.  The RTTs are smoothed
-    with the simulator's fixed gain of 1/8.
+    Every Interest is up to three heap events, keyed (time, send index,
+    stage): it reaches the bottleneck (stage 0), under the "timeout" loss
+    signal its retransmission timer fires (stage 1), which does nothing once
+    the Data is back, and its Data reaches the receiver (stage 2).  So equal
+    times go in send order, and an Interest's timer comes before its own
+    Data.  `fpf_caps` is "oracle" or "estimated"; a nonzero `seed` breaks
+    exact ties at random.  The RTTs are smoothed with the simulator's fixed
+    gain of 1/8.
     """
     alpha = 0.125
     n = len(paths)
@@ -199,7 +209,7 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
     timeout = loss_signal == "timeout"
     queues = [deque() for _ in range(n)]
     heap = []
-    seq = 0
+    sends = 0
     wnd = float(initial_window)
     cur_w = max_w = int(wnd)
     in_flight = next_chunk = delivered = losses = 0
@@ -222,7 +232,7 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
                 trace.append((now, w))
 
     def dispatch(now):
-        nonlocal seq, in_flight, next_chunk
+        nonlocal sends, in_flight, next_chunk
         while in_flight < cur_w:
             if retx:
                 chunk = retx.popleft()
@@ -236,17 +246,15 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
             max_pending[i] = max(max_pending[i], faces[i].pending)
             in_flight += 1
             per_sent[i] += 1
-            inst = seq
-            heapq.heappush(heap, (now + delays[i], seq, "queue", i, chunk,
-                                  now, inst))
-            seq += 1
+            inst = sends
+            sends += 1
+            heapq.heappush(heap, (now + delays[i], inst, _ARRIVE, i, chunk,
+                                  now))
             if timeout:
                 live.add(inst)
                 rto = 2.0 * (r_srtt if r_srtt is not None
                              else fallback + svc[i])
-                heapq.heappush(heap, (now + rto, seq, "timeout", i, chunk,
-                                      now, inst))
-                seq += 1
+                heapq.heappush(heap, (now + rto, inst, _TIMER, i, chunk, now))
 
     def register_loss(now, i, chunk):
         nonlocal losses, in_flight, wnd, absorb_until
@@ -267,11 +275,11 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
     dispatch(0.0)
     now = 0.0
     while heap:
-        t, _, kind, i, chunk, sent, inst = heapq.heappop(heap)
+        t, inst, stage, i, chunk, sent = heapq.heappop(heap)
         if duration is not None and t > duration:
             break
         now = t
-        if kind == "queue":
+        if stage == _ARRIVE:
             q = queues[i]
             while q and q[0] <= t:
                 q.popleft()
@@ -281,10 +289,9 @@ def ref_run(paths, msg_bytes, payload_bytes, token, duration=None,
                 continue
             fin = (q[-1] if q else t) + svc[i]
             q.append(fin)
-            heapq.heappush(heap, (fin + delays[i], seq, "data", i, chunk,
-                                  sent, inst))
-            seq += 1
-        elif kind == "data":
+            heapq.heappush(heap, (fin + delays[i], inst, _DATA, i, chunk,
+                                  sent))
+        elif stage == _DATA:
             if timeout and inst not in live:
                 delivered += 1  # late Data of a written-off Interest
                 per_del[i] += 1

@@ -8,11 +8,12 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
-from icnflow import PathSpec, Scenario, SimConfig, StrategyId
+import _oracle
+from icnflow import PathSpec, Scenario, SimConfig, StrategyId, run
 from icnflow.cli import (_KEYS, _MAX_SWEEP_POINTS, ExperimentError,
                          ExperimentSpec, SweepSpec, _fmt, load_experiment,
                          main, run_experiment)
@@ -417,17 +418,17 @@ _PINNED_SHA256 = {
     "wide-window-fpf.csv":
         "a925651fa5311a8a81d94cde456a57a2e1af619bf67e15020524dcbabbfc9ff2",
     "ties-oracle-rates.csv":
-        "0dc4c5bf858ccbb4af7397d45dfd01226e81c4a03f1afcb72d07ee5e22d5eed7",
+        "929d93a2c91aaaacd0b7bf51cd9f00862eab48bb27f6ad670507e71602c1b138",
     "ties-oracle-window-ug.csv":
-        "312fafe04776577ece7c6375f1cc737b44f6bab0b48724599963e139071d2488",
+        "ea5c22874d8d47b962df038c1aaed79511aa16f1496621afbc3ac79b0462f3eb",
     "ties-oracle-window-cf.csv":
-        "e341de978fa0965ae61490b670ee851b34cce8a3013525e094893ccec1816dfc",
+        "240988d1fdce32104615297af0d07af19d4901262b76d5da8e771c71baf3217e",
     "ties-timeout-rates.csv":
-        "2ce0a06e081578bc6bd68676442eab533e143dbb0f97efefda9f7814e6d3add1",
+        "1afd7643208222a8634f64c3cc257f0adf2c0fa8575c7be07bd8766d13c7369f",
     "ties-timeout-window-ug.csv":
-        "a1fcd69486a1b0a816d0f5d67bdfbf065003bb2d89fc7436315d6e09e070758d",
+        "6cb3aba96bd9ad566e218cd0a701affc5f9a1b6b65569c76466ddaa6afdab115",
     "ties-timeout-window-cf.csv":
-        "62b4c9c736f5e01f6fa6dafbfc6930ff5af88b95089e03a5bfece4b428cad27d",
+        "c87021e87a35f6693e6c4f5bab9cb22fd9f0847f92d819d1b862793c1f390856",
 }
 
 
@@ -480,17 +481,27 @@ class TestPinnedOutput:
     def test_runs_with_equal_time_events_are_pinned(self, tmp_path):
         # Round delays and rates put Data returns, drops and timers at
         # exactly equal times, so the order of equal-time events shows in the
-        # output; ordering them by time and push order alone changes these.
-        scenario = Scenario((PathSpec(0.020, 5e6, 3), PathSpec(0.010, 10e6, 1),
-                             PathSpec(0.020, 10e6, 8), PathSpec(0.005, 5e6, 9)))
+        # output: they go in the order their Interests were sent, and an
+        # Interest's timer comes before its own late Data.
+        paths = ((0.020, 5e6, 3), (0.010, 10e6, 1), (0.020, 10e6, 8),
+                 (0.005, 5e6, 9))
+        scenario = Scenario(tuple(PathSpec(*p) for p in paths))
+        strategies = (StrategyId.UG, StrategyId.CF)
         for prefix, sim in (
                 ("ties-oracle", SimConfig(duration=3.0, seed=3,
                                           trace_window=True)),
                 ("ties-timeout", SimConfig(total_chunks=2000, seed=0,
                                            loss_signal=LOSS_TIMEOUT,
                                            trace_window=True))):
+            for strat in strategies:
+                assert asdict(run(scenario, strat, sim)) == _oracle.ref_run(
+                    paths, scenario.data_msg_bytes, scenario.payload_bytes,
+                    strat.token, duration=sim.duration,
+                    total_chunks=sim.total_chunks, seed=sim.seed,
+                    loss_signal=sim.loss_signal, trace_window=True), \
+                    (prefix, strat)
             assert run_experiment(ExperimentSpec(
-                scenario, (StrategyId.UG, StrategyId.CF), "sim", None, sim,
+                scenario, strategies, "sim", None, sim,
                 str(tmp_path / prefix))) == 0
         for name in sorted(_PINNED_SHA256):
             if name.startswith("ties-"):

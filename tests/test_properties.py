@@ -9,7 +9,7 @@ import math
 import random
 from dataclasses import asdict, replace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracle
 from icnflow import (ModelError, PathSpec, Scenario, SimConfig, StrategyId,
@@ -311,8 +311,17 @@ _STOP = st.one_of(
        st.sampled_from([4876, 1250]), ALL_STRATEGIES,
        st.sampled_from([LOSS_ORACLE, LOSS_TIMEOUT]),
        st.sampled_from([FPF_CAP_ORACLE, FPF_CAP_ESTIMATED]),
-       st.one_of(st.just(0), st.integers(1, 2**32)), st.sampled_from([1, 8]),
-       _STOP)
+       st.one_of(st.just(0), st.integers(1, 2**32)),
+       st.sampled_from([1, 8, 20]), _STOP)
+# A burst of 20 where a Data return and a drop meet at t = 10 ms at the end
+# of a chain of equal-time events, each sending the next Interests.
+@example([(0.004, 10e6, 0), (0.002, 5e6, 1), (0.002, 10e6, 2)], 1250,
+         StrategyId.CF, LOSS_ORACLE, FPF_CAP_ORACLE, 58, 20,
+         {"total_chunks": 707})
+# Two Interests whose Data returns exactly at their timer: the timer fires
+# first and the Data comes back late.
+@example([(0.001, 10e6, 6)], 1250, StrategyId.PE, LOSS_TIMEOUT,
+         FPF_CAP_ORACLE, 0, 20, {"total_chunks": 435})
 def test_simulator_matches_the_three_event_reference(
         paths, msg_bytes, strat, loss, cap_mode, seed, window, stop):
     # 780 header bytes per message, as in the default 4876/4096 split
