@@ -3,18 +3,19 @@
 `picker` is each strategy's per-Interest forwarding rule, as the simulator
 runs it.  `sharing_function` is its long-run allocation: a window size H
 maps to the average number of pending Interests on every path.  The model
-sums its rounds without it (in closed form for pe/ug, from `placements`
-for re/cf/fpf); the allocation tests and the bench's tracer read it, and so
-would a per-window model record.  pe/ug split H evenly.  re/cf/fpf each have
-one placement process that puts one Interest at a time on a path, and their
-allocation is its first H steps.  re and fpf place as the simulator's
-picker does before any Data comes back; cf keeps the model's least
-pending/sqrt(RTT) rule, because the simulator's cf is a stride over
-1/pending.  `placements` walks all three on one heap, one heappushpop of
+sums its rounds without it (by pieces for pe/ug/re/fpf, from `placements`
+for cf); the allocation tests and the bench's tracer read it.  pe/ug split
+H evenly.  re/cf/fpf each have one placement process that puts one
+Interest at a time on a path, and their allocation is its first H steps.
+re and fpf place as the simulator's picker does before any Data comes back,
+on the least key (max(2·delay, pending/rate), pending, index); as a path's
+key rises with its own pending count, their allocation is counted path by
+path (`count_below`, `keys_below`, `least_keys`), with no walk.  cf keeps
+the model's least pending/sqrt(RTT) rule, because the simulator's cf is a
+stride over 1/pending; `placements` walks it on a heap, one heappushpop of
 the placed path's entry per step, and yields each step's path, that path's
-new pending count and its RTT at that count, so no walker keeps counts or
-recomputes an RTT of its own.  All of them satisfy sum(allocation) == H and
-allocation >= 0, and allocations only grow with H.
+new pending count and its RTT at that count.  All of them satisfy
+sum(allocation) == H and allocation >= 0, and allocations only grow with H.
 """
 
 from __future__ import annotations
@@ -126,9 +127,9 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
     # re and fpf: lowest current round trip wins, pending then index break
     # ties, so identical paths interleave instead of piling onto one face.
     # The round trip is core.rtt, queue-aware: the propagation floor or the
-    # time the current backlog needs to drain, whichever dominates.
-    # placements() walks the same order on a heap for the model; a test
-    # keeps its re/fpf steps equal to this picker's first dispatches.
+    # time the current backlog needs to drain, whichever dominates.  The
+    # model counts the same order (`keys_below`); a test keeps its re/fpf
+    # allocations equal to this picker's first dispatches.
     oracle = strategy is StrategyId.FPF and not estimated_caps
     rtt_lanes = [(i, f, two_d, rate, cap if oracle else None)
                  for (i, f), (two_d, rate, cap)
@@ -167,61 +168,140 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 
 # ---------------------------------------------------------------------------
 # long-run allocation of a window
+#
+# re and fpf place each Interest on the least key (max(2·delay, p/rate), p,
+# index), p the path's pending count, as their pickers do before any Data
+# comes back.  A path's key rises with its own p, so the placement order is
+# the sorted order of every path's keys, and how many Interests a path
+# holds below any key is a count for that path alone.  Nothing is walked.
+
+_EXACT = 2.0 ** 53  # below this, p/x rises with every whole p
+
+
+def count_below(v: float, x: float, le: bool = False) -> int:
+    """How many of p = 0, 1, 2, ... have p/x < v (p/x <= v with `le`), as
+    the float division rounds it: the product v·x, then a step or two.
+    Past 2**53, where consecutive p share a float, it is v·x rounded up:
+    no model window comes near that."""
+    q = v * x
+    if not q < _EXACT:
+        return math.ceil(min(q, _EXACT))
+    q = math.ceil(q)
+    if le:
+        while q and (q - 1) / x > v:
+            q -= 1
+        while q / x <= v:
+            q += 1
+    else:
+        while q and (q - 1) / x >= v:
+            q -= 1
+        while q / x < v:
+            q += 1
+    return q
+
+
+def keys_below(lane, i: int, key) -> int:
+    """How many keys of path `i`, whose lane is (2·delay, rate, _), are
+    below `key` = (value, pending, index): its pending count once every
+    Interest before `key` is placed."""
+    two_d, rate, _ = lane
+    v, p, j = key
+    if v < two_d:
+        return 0
+    lt = count_below(v, rate) if v > two_d else 0
+    if v > two_d and lt / rate != v:  # no key of value v
+        return lt
+    # Keys of equal value go by pending, then index.
+    return max(lt, min(count_below(v, rate, True), p + (i < j)))
+
+
+def key_at(lane, p: int, i: int):
+    """Path i's key for its next Interest while it holds p: its core.rtt
+    at p, then p, then i."""
+    two_d, rate, _ = lane
+    k = p / rate
+    return (two_d if k < two_d else k), p, i
+
+
+def first_overflow(lanes):
+    """The least key at cap: the placement that first overflows a pipeline
+    under re, and fpf's first spill once every path is full."""
+    return min([key_at(lane, lane[2], i) for i, lane in enumerate(lanes)])
+
+
+def least_keys(lanes, starts, ends, total: int) -> list[int]:
+    """Each path's count of the `total` least keys, path i's keys being
+    those of pending starts[i] up to ends[i] (math.inf: no end).
+
+    The (total+1)-th key is found by bisection: its value on floats, then
+    its pending and its index on whole numbers, each step counting the keys
+    below a trial key; the allocation is the count below it.
+    """
+    def counts(key):
+        return [min(max(keys_below(lane, i, key), a), b) - a
+                for i, (lane, a, b) in enumerate(zip(lanes, starts, ends))]
+
+    def after(key):  # more than `total` keys are below `key`
+        return sum(counts(key)) > total
+
+    # Past `total` keys of one path, or all of every path's (the caller
+    # asks for fewer), more than `total` keys are placed.
+    lo, hi = 0.0, max(key_at(lane, min(a + total, b - 1), 0)[0]
+                      for lane, a, b in zip(lanes, starts, ends))
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        lo, hi = (lo, mid) if after((mid, math.inf, 0)) else (mid, hi)
+    p = _first(lambda p: after((hi, p, len(lanes))), max(starts) + total)
+    i = _first(lambda i: after((hi, p, i + 1)), len(lanes))
+    return counts((hi, p, i))
+
+
+def _first(holds, hi: int) -> int:
+    """The least k in 0..hi at which `holds`, false then true as k rises,
+    is true; hi if none below it."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+    return lo
+
 
 def placements(scenario: Scenario, strategy: StrategyId):
-    """The re, cf or fpf placement process: an endless walk that yields
-    `(path, pending, rtt)` for each successive Interest: the path it is
-    placed on, that path's pending count after it and its core.rtt there,
-    so its first k paths are window k's allocation.
+    """cf's placement process: an endless walk that yields `(path,
+    pending, rtt)` for each successive Interest: the path it is placed on,
+    that path's pending count after it and its core.rtt there, so its first
+    k paths are window k's allocation.
 
-    Each path has one heap entry, least first:
-      re   (rtt, pending, index)
-      cf   (pending/sqrt(rtt), pending, index)
-      fpf  (rtt, pending, index), the paths below their cap first
-    with cap the oracle pipeline capacity.  The order is the picker's strict
-    < scan over ascending indices, with fpf's capped scan and its uncapped
-    spill.  A walk only adds Interests and a path's entry depends on its own
-    pending only, so a step pushes the placed path's new entry, built from
-    the rtt it yields, and pops the least; no entry goes stale.  pe and ug
-    place no Interest one at a time: they raise ValueError.
+    Each path has one heap entry, least first: (pending/sqrt(rtt), pending,
+    index).  A walk only adds Interests and a path's entry depends on its
+    own pending only, so a step pushes the placed path's new entry, built
+    from the rtt it yields, and pops the least; no entry goes stale.  pe
+    and ug place no Interest one at a time, and re and fpf are counted
+    (`least_keys`): they raise ValueError.
     """
-    if strategy not in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
-        raise ValueError(f"{strategy.token} has no placement process: "
-                         "it splits the window evenly")
-    return _heap_walk(path_lanes(scenario), strategy is StrategyId.CF,
-                      strategy is StrategyId.FPF)
+    if strategy in (StrategyId.PE, StrategyId.UG):
+        raise ValueError(f"{strategy.token} has no placement process: it "
+                         "splits the window evenly")
+    if strategy is not StrategyId.CF:
+        raise ValueError(f"{strategy.token} has no placement walk: its "
+                         "allocation is counted")
+    return _heap_walk(path_lanes(scenario))
 
 
-def _heap_walk(lanes, cf, capped):
+def _heap_walk(lanes):
     # The least entry is held out of the heap as `top`, so a step is one
-    # heappushpop: one compare while the same path stays least.  A capped
-    # path at its cap waits in `full`, the heap once no path has room.
-    heap, full, top = [], [], None
-    for i, (two_d, _, cap) in enumerate(lanes):  # rtt at pending 0: 2·delay
-        (full if capped and cap <= 0 else heap).append(
-            (0.0 if cf else two_d, 0, i))
-    heapq.heapify(heap)
+    # heappushpop: one compare while the same path stays least.
+    heap = [(0.0, 0, i) for i in range(len(lanes))]  # pending 0: key 0
+    top = heapq.heappop(heap)
     pushpop, sqrt = heapq.heappushpop, math.sqrt
     while True:
-        if top is None:
-            if not heap:
-                heap, capped = full, False
-                heapq.heapify(heap)
-            top = heapq.heappop(heap)
         _, p, i = top
         p += 1
-        two_d, rate, cap = lanes[i]
+        two_d, rate, _ = lanes[i]
         k = p / rate
         if k < two_d:  # core.rtt: max(2·delay, pending/rate)
             k = two_d
         yield i, p, k
-        if cf:
-            top = pushpop(heap, (p / sqrt(k), p, i))
-        elif not capped or p < cap:
-            top = pushpop(heap, (k, p, i))
-        else:
-            full.append((k, p, i))
-            top = None
+        top = pushpop(heap, (p / sqrt(k), p, i))
 
 
 def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:
@@ -229,18 +309,40 @@ def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:
     return (total / n,) * n
 
 
+def _least_rtt(scenario: Scenario, total: int) -> tuple[float, ...]:
+    lanes = path_lanes(scenario)
+    n = len(lanes)
+    return tuple(map(float, least_keys(lanes, [0] * n, [math.inf] * n,
+                                       total)))
+
+
+def _fill_first(scenario: Scenario, total: int) -> tuple[float, ...]:
+    # Every path fills to its cap before any spills; the spill then goes on
+    # the uncapped keys from each cap on.
+    lanes = path_lanes(scenario)
+    caps = [cap for _, _, cap in lanes]
+    if total < sum(caps):
+        held = least_keys(lanes, [0] * len(caps), caps, total)
+    else:
+        held = [c + s for c, s in zip(caps, least_keys(
+            lanes, caps, [math.inf] * len(caps), total - sum(caps)))]
+    return tuple(map(float, held))
+
+
+def _stopped_walk(scenario: Scenario, total: int) -> tuple[float, ...]:
+    per = [0.0] * len(scenario.paths)
+    for i, _, _ in islice(placements(scenario, StrategyId.CF), total):
+        per[i] += 1.0
+    return tuple(per)
+
+
 def sharing_function(strategy: StrategyId):
     """The strategy's allocation, `(scenario, total) -> per-path pending`.
 
     pe and ug share the even split: ug's inverse-RTT round robin settles on
-    it.  re, cf and fpf read `placements` stopped at `total`.
+    it.  re and fpf count each path's keys among the `total` least; cf
+    reads `placements` stopped at `total`.
     """
-    if strategy in (StrategyId.PE, StrategyId.UG):
-        return _even_split
-
-    def stopped(scenario: Scenario, total: int) -> tuple[float, ...]:
-        per = [0.0] * len(scenario.paths)
-        for i, _, _ in islice(placements(scenario, strategy), total):
-            per[i] += 1.0
-        return tuple(per)
-    return stopped
+    return {StrategyId.PE: _even_split, StrategyId.UG: _even_split,
+            StrategyId.RE: _least_rtt, StrategyId.FPF: _fill_first,
+            StrategyId.CF: _stopped_walk}[strategy]

@@ -16,6 +16,7 @@ import heapq
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import islice
 
 
@@ -74,15 +75,9 @@ def ref_share(paths, msg_bytes, token, h):
     return next(islice(_ref_windows(paths, msg_bytes, token), h, None))
 
 
-def ref_cycle(paths, msg_bytes, token):
-    """(wmax, delivered_per_cycle, cycle_seconds, msgs_per_second) in O(n)
-    memory, for many paths and large windows.
-
-    One pass over the windows finds the first that overflows; a second pass
-    over the same windows adds the rounds w_lo..w_hi, each round's rate and
-    the cycle's duration left to right, in the order they are listed.  No
-    allocation is kept past its window, so nothing grows with w_max.
-    """
+def _ref_cycle_windows(paths, msg_bytes, token):
+    """(w_lo, w_hi) of the cycle: one pass over the windows finds the first
+    that overflows, and the window before it is w_hi."""
     rates = _rates(paths, msg_bytes)
     caps = [ref_capacity(d, rates[i], b) for i, (d, _, b) in enumerate(paths)]
     for w_hi, share in enumerate(_ref_windows(paths, msg_bytes, token)):
@@ -93,8 +88,20 @@ def ref_cycle(paths, msg_bytes, token):
     w_hi -= 1
     if w_hi < 1:
         raise ValueError("no feasible window")
-    w_lo = max(1, w_hi // 2)  # a halved window never drops below one
+    return max(1, w_hi // 2), w_hi  # a halved window never drops below one
 
+
+def ref_cycle(paths, msg_bytes, token):
+    """(wmax, delivered_per_cycle, cycle_seconds, msgs_per_second) in O(n)
+    memory, for many paths and large windows.
+
+    One pass over the windows finds the first that overflows; a second pass
+    over the same windows adds the rounds w_lo..w_hi, each round's rate and
+    the cycle's duration left to right, in the order they are listed.  No
+    allocation is kept past its window, so nothing grows with w_max.
+    """
+    rates = _rates(paths, msg_bytes)
+    w_lo, w_hi = _ref_cycle_windows(paths, msg_bytes, token)
     total_msgs = 0
     total_time = 0.0
     for w, share in islice(enumerate(_ref_windows(paths, msg_bytes, token)),
@@ -105,6 +112,33 @@ def ref_cycle(paths, msg_bytes, token):
         total_msgs += w
         total_time += w / rate_sum
     return w_hi, total_msgs, total_time, total_msgs / total_time
+
+
+def ref_cycle_exact(paths, msg_bytes, token):
+    """ref_cycle's msgs_per_second as an exact `Fraction`: the same windows
+    in the same placement order, with every path's float 2*delay and message
+    rate taken at their exact values and no rounding after that.  pe/ug
+    hold w/n on every path, not its float.  What a float evaluation is off
+    from this is its own rounding error, which ref_cycle, itself a float
+    sum, cannot measure.
+    """
+    n = len(paths)
+    two_ds = [Fraction(2 * d) for d, _, _ in paths]
+    rates = [Fraction(r) for r in _rates(paths, msg_bytes)]
+    w_lo, w_hi = _ref_cycle_windows(paths, msg_bytes, token)
+    # Sum w/b as one numerator over one denominator and reduce once: a
+    # Fraction per round would take a gcd of ever longer integers each time.
+    num, den = 0, 1
+    for w, share in islice(enumerate(_ref_windows(paths, msg_bytes, token)),
+                           w_lo, w_hi + 1):
+        # A path carries min(x/(2*delay), rate): x/rtt with rtt =
+        # max(2*delay, x/rate).
+        b = sum(min((Fraction(w, n) if token in ("pe", "ug")
+                     else Fraction(x)) / two_d, rate)
+                for two_d, rate, x in zip(two_ds, rates, share))
+        num, den = num * b.numerator + w * b.denominator * den, \
+            den * b.numerator
+    return Fraction((w_lo + w_hi) * (w_hi - w_lo + 1) // 2 * den, num)
 
 
 # --------------------------------------------------------------------------

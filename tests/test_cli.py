@@ -429,6 +429,10 @@ _PINNED_SHA256 = {
         "6cb3aba96bd9ad566e218cd0a701affc5f9a1b6b65569c76466ddaa6afdab115",
     "ties-timeout-window-cf.csv":
         "c87021e87a35f6693e6c4f5bab9cb22fd9f0847f92d819d1b862793c1f390856",
+    # The shipped rate sweep, model rows only, recorded before re and fpf
+    # were counted instead of walked and each cycle summed over pieces.
+    "rate-model-rates.csv":
+        "58dc81e1b3ae898ed54e9f2182ff34a5e53e9163962856d8cae0a35e9fc95758",
 }
 
 
@@ -449,6 +453,19 @@ class TestPinnedOutput:
         _run_shipped(tmp_path, "delay_sweep", "delay", seed=1, duration=2.0)
         assert _sha256(tmp_path / "delay-rates.csv") == \
             _PINNED_SHA256["delay-rates.csv"]
+
+    def test_model_rate_sweep_is_pinned(self, tmp_path):
+        # The model's 100 rows of the shipped rate sweep, to 12 digits.  One
+        # sits at the edge: fpf at r2 = 38 Mbit/s prints y_net_mbps
+        # 40.0365487849, and its exact value, 40.036548784850066..., lies
+        # only 1.66e-15 (relative) above the rounding boundary
+        # 40.03654878485.  A sum that comes out lower than that by more than
+        # 1.66e-15 changes this file.
+        spec = load_experiment(os.path.join(EXPERIMENTS, "rate_sweep.exp"))
+        assert run_experiment(replace(
+            spec, mode="model", output=str(tmp_path / "rate-model"))) == 0
+        assert _sha256(tmp_path / "rate-model-rates.csv") == \
+            _PINNED_SHA256["rate-model-rates.csv"]
 
     def test_seeded_timeout_trace_with_estimated_capacities_is_pinned(
             self, tmp_path):

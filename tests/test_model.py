@@ -4,10 +4,12 @@ import hashlib
 import os
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 import _oracle
+from test_sharing import TIES
 from icnflow import ModelError, PathSpec, Scenario, StrategyId, cycle, wmax
 from icnflow import sharing
 from icnflow.cli import load_experiment
@@ -72,7 +74,8 @@ class TestWmax:
         assert wmax(dead, StrategyId.FPF) == 30
 
     def test_unbounded_capacity_is_caught(self, monkeypatch):
-        # wmax() and cycle() both raise before any walk starts.
+        # wmax() and cycle() both raise before any walk starts: re and fpf
+        # compare their counted w_max with the guard, cf its least cap.
         def no_walk(*args):
             raise AssertionError("walked to a bound past the guard")
         monkeypatch.setattr("icnflow.model.placements", no_walk)
@@ -81,17 +84,20 @@ class TestWmax:
             for entry in (wmax, cycle):
                 with pytest.raises(ModelError, match="unbounded"):
                     entry(scen, s)
-        bottomless = Scenario((PathSpec(0.020, 10e6, 10 ** 9),))
-        for s in StrategyId:
-            unbounded(bottomless, s)
+        # A cap past 2**53 also stops re's count, where consecutive pending
+        # counts share a float.
+        for buffer in (10 ** 9, 10 ** 17):
+            bottomless = Scenario((PathSpec(0.020, 10e6, buffer),))
+            for s in StrategyId:
+                unbounded(bottomless, s)
         # fpf fills the small path, then spills every Interest onto the
         # bottomless one: its walk would end at sum(caps), past the guard.
         beside = Scenario((PathSpec(0.020, 10e6, 20),
                            PathSpec(0.020, 10e6, 10 ** 9)))
         unbounded(beside, StrategyId.FPF)
         # Every window up to min(caps) fits, so a smallest cap past the guard
-        # raises at once: TWO_PATH's caps are 30 and 81, and re/cf must not
-        # start their walks.
+        # raises at once: TWO_PATH's caps are 30 and 81, and cf must not
+        # start its walk.
         monkeypatch.setattr("icnflow.model._SEARCH_CAP", 29)
         for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
             unbounded(TWO_PATH, s)
@@ -149,25 +155,27 @@ class TestCycle:
                   StrategyId.UG: (120, 978.4068587278764),
                   StrategyId.RE: (60, 563.4347820777265),
                   StrategyId.CF: (132, 1064.7304290842333),
-                  StrategyId.FPF: (208, 1142.6283374953555)}
+                  StrategyId.FPF: (208, 1142.6283374953557)}
         for s, want in pinned.items():
             cs = cycle(EIGHT, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
 
     def test_sixteen_path_cycle_is_pinned(self):
-        pinned = {StrategyId.PE: (592, 3885.4832161332884),
-                  StrategyId.UG: (592, 3885.4832161332884),
-                  StrategyId.RE: (74, 1215.2046894048874),
+        pinned = {StrategyId.PE: (592, 3885.483216133286),
+                  StrategyId.UG: (592, 3885.483216133286),
+                  StrategyId.RE: (74, 1215.2046894048876),
                   StrategyId.CF: (997, 5367.17994780023),
-                  StrategyId.FPF: (2135, 8809.281569256884)}
+                  StrategyId.FPF: (2135, 8809.281569256891)}
         for s, want in pinned.items():
             cs = cycle(SIXTEEN, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
 
     def test_fifty_path_cycle_is_pinned(self):
-        # The largest walks in the suite: 21 168 and 165 336 placements.
-        pinned = {StrategyId.RE: (21168, 304329.4885843287),
-                  StrategyId.FPF: (165336, 1103349.27800864)}
+        # The largest windows in the suite, 21 168 and 165 336, counted and
+        # summed over pieces.  Both y are within 3e-17 of a 40-digit
+        # evaluation of the oracle's rounds.
+        pinned = {StrategyId.RE: (21168, 304329.48858433246),
+                  StrategyId.FPF: (165336, 1103349.2780086559)}
         for s, want in pinned.items():
             cs = cycle(FIFTY, s)
             assert (cs.w_max, cs.y_msgs_per_s) == want, s
@@ -187,7 +195,7 @@ class TestCycle:
                                     cs.y_net_bps, cs.binding_path,
                                     len(cs.rounds))).encode())
         assert digest.hexdigest() == (
-            "382b6c6fca3e6f1987313e7655c898865dfdf4aceaee940f298acdcdf42f22f2")
+            "f6e4c1f344c348436f351d990e0f3dc1c97180eeb494d62c4d22531cb2d3d35c")
 
     def test_cycle_agrees_with_the_reference(self):
         # Within 1e-9 of a reference that walks the windows straight-line
@@ -207,11 +215,34 @@ class TestCycle:
                 assert cs.a_seconds == pytest.approx(a, rel=1e-9), s
                 assert cs.y_msgs_per_s == pytest.approx(y, rel=1e-9), s
 
+    def test_cycle_is_within_1e_15_of_the_exact_value(self):
+        # The oracle's float sum cannot measure a few ulps; this one is
+        # exact (fractions.Fraction, over the oracle's own placement order).
+        # On the 150 cycles of the shipped sweeps, on the tie scenarios of
+        # test_sharing (one with a key tie across two paths' 2*delay) and on
+        # three paths whose pieces run to hundreds of windows, every
+        # strategy's y is within 1e-15 of it.  The margin matters: the
+        # rate sweep's fpf row at 38 Mbit/s prints y_net_mbps 40.0365487849,
+        # and its exact value lies only 1.66e-15 above the 12-digit rounding
+        # boundary.  Measured: about 0.3 s.
+        long = Scenario((PathSpec(0.010, 100e6, 200),
+                         PathSpec(0.025, 100e6, 100),
+                         PathSpec(0.040, 50e6, 0)))
+        for scen in (_sweep_points("delay_sweep") + _sweep_points("rate_sweep")
+                     + list(TIES) + [EIGHT, long]):
+            paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
+            for s in StrategyId:
+                exact = _oracle.ref_cycle_exact(paths, scen.data_msg_bytes,
+                                                s.token)
+                y = Fraction(cycle(scen, s).y_msgs_per_s)
+                assert abs(y - exact) <= exact / 10 ** 15, (scen, s)
+
     def test_cycle_work_is_linear_in_w_max(self, monkeypatch):
-        # One walk to the first overflow (w_max + 1 placements) gives w_max,
-        # the binding path and every window's aggregate rate, which cycle()
-        # adds up with no further picks; pe/ug draw none.  Rebuilding every
-        # window from zero would draw O(w_max^2) placements.
+        # pe/ug/re/fpf count and draw no placement.  cf's one walk to the
+        # first overflow (w_max + 1 placements) gives w_max, the binding path
+        # and every window's aggregate rate, which cycle() adds up with no
+        # further picks.  Rebuilding every window from zero would draw
+        # O(w_max^2) placements.
         drawn = [0]
         real = sharing.placements
 
@@ -222,7 +253,7 @@ class TestCycle:
         monkeypatch.setattr("icnflow.model.placements", counted)
         monkeypatch.setattr("icnflow.sharing.placements", counted)
         for s in StrategyId:
-            walks = s not in (StrategyId.PE, StrategyId.UG)
+            walks = s is StrategyId.CF
             drawn[0] = 0
             w_max = cycle(EIGHT, s).w_max
             assert drawn[0] == (w_max + 1 if walks else 0), (s, drawn[0])
@@ -288,26 +319,32 @@ class TestRoundsOnDemand:
                 assert again == cs and hash(again) == hash(cs), s
 
     def test_cycle_memory_does_not_grow_with_the_rounds(self):
-        # w_max 4408 (5842 for fpf) on 8 paths.  Built eagerly, the 2200+
-        # rounds with two 8-tuples each peak at 0.84-1.4 MB on this
-        # scenario, 13-22 times the bound.  What grows with w_max is the
-        # walk's record of each window's aggregate rate, an array of 8-byte
-        # floats (re/cf/fpf), so every strategy peaks near 50 kB or below; a
-        # list of float objects would peak at 144-188 kB.  cycle() drops the
-        # record on return; a result that kept it would hold 38-48 kB, ten
-        # times the 4 kB bound on what the result keeps.
-        big = Scenario(tuple(PathSpec(0.010 * k, 100e6, 500)
-                             for k in range(1, 9)))
-        for s in StrategyId:
-            tracemalloc.start()
-            try:
-                cs = cycle(big, s)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert cs.w_max >= 4408, s
-            assert peak < 64_000, (s, peak)
-            assert kept < 4_000, (s, kept)
+        # w_max 4408 (5842 for fpf) on 8 paths, and ten times that with
+        # 5000-message buffers.  Built eagerly, the 2200+ rounds with two
+        # 8-tuples each peak at 0.84-1.4 MB on the smaller scenario.  pe, ug,
+        # re and fpf keep O(n) state and a few pieces, and peak at 1.5-3.5 kB
+        # on both.  What grows with w_max is cf's record of each window's
+        # aggregate rate, an array of 8-byte floats, which peaks near 40 kB
+        # on the smaller one; a list of float objects would peak at
+        # 144-188 kB.  cycle() drops the record on return; a result that kept
+        # it would hold 38-48 kB, ten times the 4 kB bound on what the result
+        # keeps.
+        for buffer in (500, 5000):
+            big = Scenario(tuple(PathSpec(0.010 * k, 100e6, buffer)
+                                 for k in range(1, 9)))
+            for s in StrategyId:
+                if s is StrategyId.CF and buffer > 500:
+                    continue
+                tracemalloc.start()
+                try:
+                    cs = cycle(big, s)
+                    kept, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert cs.w_max >= 8 * buffer + 408, s
+                assert peak < (64_000 if s is StrategyId.CF else 8_000), \
+                    (s, buffer, peak)
+                assert kept < 4_000, (s, buffer, kept)
 
 
 class TestSweep:

@@ -172,10 +172,11 @@ def test_cycle_identities(scen, strat):
        st.sampled_from([4876, 1250]), ALL_STRATEGIES)
 def test_cycle_rounds_are_the_per_window_allocations(pool, data, msg_bytes,
                                                      strat):
-    # cycle() reads its windows from one walk and sums each round's rate in
-    # O(1); the oracle walks every window's allocation forward from zero
-    # with its own picker and adds every path's rate in every round, left to
-    # right.  The two sums round differently, by a few ulps.
+    # cycle() counts its windows (cf: walks them once) and sums them over
+    # pieces of constant or linear rate; the oracle walks every window's
+    # allocation forward from zero with its own picker and adds every path's
+    # rate in every round, left to right.  The two sums round differently,
+    # by a few ulps.
     scen = Scenario(tuple(pool[k] for k in data.draw(st.lists(
         st.integers(0, len(pool) - 1), min_size=1, max_size=6))), msg_bytes,
         msg_bytes - 780)

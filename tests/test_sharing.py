@@ -3,7 +3,6 @@
 import ast
 import math
 import random
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -16,12 +15,16 @@ from icnflow.sharing import FaceState, picker, placements, sharing_function
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
 # Identical and duplicated paths tie exactly on every strategy's key and on
-# pending, so only the index decides; the last scenario has a path with no
-# buffer, whose pipeline is its propagation floor alone.
+# pending, so only the index decides; the fifth scenario has a path with no
+# buffer, whose pipeline is its propagation floor alone.  In the last, at 100
+# and 200 messages/s, path 0's saturated key at 20 pending ties path 1's
+# 2*delay of 0.2 s while path 1 still fills.
 A, B = PathSpec(0.020, 10e6, 20), PathSpec(0.005, 2e6, 3)
 TIES = (TWIN, Scenario((A,) * 4), Scenario((A, B, A, B, A)),
         Scenario((B, A, B), 1250, 470),
-        Scenario((B, PathSpec(0.010, 10e6, 0), A, B)))
+        Scenario((B, PathSpec(0.010, 10e6, 0), A, B)),
+        Scenario((PathSpec(0.010, 100 * 39008, 30),
+                  PathSpec(0.100, 200 * 39008, 0))))
 PLACED = (StrategyId.RE, StrategyId.CF, StrategyId.FPF)
 
 share_pe, share_re, share_ug, share_cf, share_fpf = (
@@ -69,10 +72,11 @@ class TestPendingWeighted:
         assert share_cf(s, 17) == (17.0,)
 
     def test_placements_break_exact_ties_as_the_reference_scan(self):
-        # For re, cf and fpf, the heap's first h steps must be the reference
-        # scan's allocation at h, and each step's pending count and rtt the
-        # reference's for the placed path, bit for bit.  sum(caps) + n steps
-        # take every walk past every cap, and fpf into its spill.
+        # re and fpf count, cf walks a heap; each one's allocation at every h
+        # must be the reference scan's, and each cf step's pending count and
+        # rtt the reference's for the placed path, bit for bit.  sum(caps) +
+        # n steps take every placement past every cap, and fpf into its
+        # spill.
         for scen in TIES:
             paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
             rates = [_oracle.ref_msg_rate(r, scen.data_msg_bytes)
@@ -80,16 +84,21 @@ class TestPendingWeighted:
             caps = [_oracle.ref_capacity(d, rate, b)
                     for (d, _, b), rate in zip(paths, rates)]
             for s in PLACED:
+                share = sharing_function(s)
                 per = [0.0] * len(paths)
-                steps = placements(scen, s)
+                steps = placements(scen, s) if s is StrategyId.CF else None
                 for h in range(1, sum(caps) + len(caps) + 1):
+                    want = _oracle.ref_share(paths, scen.data_msg_bytes,
+                                             s.token, h)
+                    assert list(share(scen, h)) == want, (scen, s, h)
+                    if steps is None:
+                        continue
                     i, p, rtt = next(steps)
                     per[i] += 1.0
-                    assert p == per[i], (scen, s, h)
+                    assert p == per[i], (scen, h)
                     assert rtt == _oracle.ref_rtt(paths[i][0], rates[i], p), \
-                        (scen, s, h)
-                    assert per == _oracle.ref_share(
-                        paths, scen.data_msg_bytes, s.token, h), (scen, s, h)
+                        (scen, h)
+                    assert per == want, (scen, h)
 
     def test_sqrt_rtt_ratio_in_delay_dominated_regime(self):
         # While both pending counts sit below their propagation floors
@@ -122,21 +131,21 @@ class TestCapacityFilling:
 class TestSimulatorOrder:
     def test_re_and_fpf_walks_are_the_simulators_first_dispatches(self):
         # Before any Data comes back the simulator's picker only adds
-        # Interests, so its first picks are the model's placement walk.
-        # sum(caps) + n picks take fpf past every cap and into its spill.
+        # Interests, so its first W picks hold, path by path, what the
+        # model counts for a window of W.  Equal counts at every W = 1, 2,
+        # ... fix the whole sequence of picks.  sum(caps) + n picks take fpf
+        # past every cap and into its spill.
         for scen in TIES:
             caps = [pipeline_capacity(p, rate_msgs(scen, i))
                     for i, p in enumerate(scen.paths)]
             for s in (StrategyId.RE, StrategyId.FPF):
+                share = sharing_function(s)
                 faces = [FaceState() for _ in scen.paths]
                 pick = picker(s, faces, scen, False, None)
-                picked = []
-                for _ in range(sum(caps) + len(caps)):
-                    i = pick()
-                    faces[i].pending += 1
-                    picked.append(i)
-                walked = islice(placements(scen, s), len(picked))
-                assert [i for i, _, _ in walked] == picked, (scen, s)
+                for w in range(1, sum(caps) + len(caps) + 1):
+                    faces[pick()].pending += 1
+                    assert share(scen, w) == tuple(
+                        float(f.pending) for f in faces), (scen, s, w)
                 if s is StrategyId.FPF:
                     assert all(f.pending >= c for f, c in zip(faces, caps))
 
@@ -167,6 +176,10 @@ class TestLookup:
     def test_even_splits_have_no_placement_process(self):
         for s in (StrategyId.PE, StrategyId.UG):
             with pytest.raises(ValueError, match="no placement process"):
+                placements(TWIN, s)
+        # re and fpf are counted, not walked.
+        for s in (StrategyId.RE, StrategyId.FPF):
+            with pytest.raises(ValueError, match="no placement walk"):
                 placements(TWIN, s)
 
 
