@@ -85,7 +85,7 @@ def _search(scenario: Scenario, strategy: StrategyId):
         found = array("d")
         record = found.append
         per_path, b_w = [0.0] * len(caps), 0.0
-        for i, p, rtt in islice(placements(scenario, strategy),
+        for i, p, rtt in islice(placements(lanes, strategy),
                                 _SEARCH_CAP + 1):
             # Only the path just placed on can have gone over its cap.
             if p > caps[i]:

@@ -98,11 +98,17 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
             # Weights 1/srtt; unsampled faces borrow the best known srtt.
             probe, w_sum = None, 0.0
             for i, f in lanes:
-                if f.srtt is None and probe is None:
-                    probe = min((g.srtt for g in faces if g.srtt is not None),
-                                default=1.0)
-                w = weights[i] = 1.0 / (f.srtt if f.srtt is not None
-                                        else probe)
+                s = f.srtt
+                if s is None:
+                    if probe is None:
+                        probe = math.inf
+                        for g in faces:  # the least sampled srtt, or 1.0
+                            if g.srtt is not None and g.srtt < probe:
+                                probe = g.srtt
+                        if probe == math.inf:
+                            probe = 1.0
+                    s = probe
+                w = weights[i] = 1.0 / s
                 w_sum += w
             return stride(w_sum)
         return pick_ug
@@ -131,22 +137,23 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
     # model counts the same order (`keys_below`); a test keeps its re/fpf
     # allocations equal to this picker's first dispatches.
     oracle = strategy is StrategyId.FPF and not estimated_caps
-    rtt_lanes = [(i, f, two_d, rate, cap if oracle else None)
+    # A face holding fewer than `below` keys 2·delay, its floor, with no
+    # division: p/rate < 2·delay exactly when p < below.
+    rtt_lanes = [(i, f, two_d, rate, count_below(two_d, rate),
+                  cap if oracle else None)
                  for (i, f), (two_d, rate, cap)
                  in zip(lanes, path_lanes(scenario))]
 
     def least_rtt(capped=False):
         best, tied, bk, bp = None, None, math.inf, 0
-        for i, f, two_d, rate, cap in rtt_lanes:
+        for i, f, two_d, rate, below, cap in rtt_lanes:
             p = f.pending
             if capped:
                 if estimated_caps:
                     cap = f.est_capacity  # None until learned: no cap
                 if cap is not None and p >= cap:
                     continue
-            k = p / rate
-            if k < two_d:  # max(2·delay, pending/rate)
-                k = two_d
+            k = two_d if p < below else p / rate  # max(2·delay, pending/rate)
             if k < bk or k == bk and p < bp:
                 best, bk, bp, tied = i, k, p, None
             elif k == bk and p == bp and rng is not None:
@@ -265,11 +272,12 @@ def _first(holds, hi: int) -> int:
     return lo
 
 
-def placements(scenario: Scenario, strategy: StrategyId):
-    """cf's placement process: an endless walk that yields `(path,
-    pending, rtt)` for each successive Interest: the path it is placed on,
-    that path's pending count after it and its core.rtt there, so its first
-    k paths are window k's allocation.
+def placements(lanes, strategy: StrategyId):
+    """cf's placement process over the paths whose `core.path_lanes` are
+    `lanes`: an endless walk that yields `(path, pending, rtt)` for each
+    successive Interest: the path it is placed on, that path's pending count
+    after it and its core.rtt there, so its first k paths are window k's
+    allocation.
 
     Each path has one heap entry, least first: (pending/sqrt(rtt), pending,
     index).  A walk only adds Interests and a path's entry depends on its
@@ -284,7 +292,7 @@ def placements(scenario: Scenario, strategy: StrategyId):
     if strategy is not StrategyId.CF:
         raise ValueError(f"{strategy.token} has no placement walk: its "
                          "allocation is counted")
-    return _heap_walk(path_lanes(scenario))
+    return _heap_walk(lanes)
 
 
 def _heap_walk(lanes):
@@ -331,7 +339,8 @@ def _fill_first(scenario: Scenario, total: int) -> tuple[float, ...]:
 
 def _stopped_walk(scenario: Scenario, total: int) -> tuple[float, ...]:
     per = [0.0] * len(scenario.paths)
-    for i, _, _ in islice(placements(scenario, StrategyId.CF), total):
+    for i, _, _ in islice(placements(path_lanes(scenario), StrategyId.CF),
+                          total):
         per[i] += 1.0
     return tuple(per)
 

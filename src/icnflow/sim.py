@@ -26,7 +26,10 @@ events.  The heap holds at most one return per face, not one per Interest in
 flight.
 
 `run()` is one loop: each pass first sends one Interest per free window slot,
-then pops the next event and handles it in place.
+then pops the next event and handles it in place.  On-time Data, nearly
+every event, is tested for first and counts no delivery per face: a face's
+delivered count is derived at the end, sent − detected lost − in flight +
+late Data.
 """
 
 from __future__ import annotations
@@ -180,8 +183,8 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     retx = deque()          # lost chunks go back to the front of the line
     stop = config.total_chunks if config.total_chunks is not None else math.inf
     delivered = 0
-    per_del = [0] * n
     per_sent = [0] * n
+    per_late = [0] * n      # late Data: each face's delivered count is derived
     per_drop = [0] * n
     max_pending = [0] * n
     loss_times = []
@@ -218,7 +221,7 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
             if not oracle_loss:
                 timer = now + _RTO_FACTOR * (r_srtt if r_srtt is not None
                                              else fallback_absorb + svc)
-            if q and len(q) >= buf:
+            if len(q) >= buf and q:
                 # Buffer full: drop-tail.  The message in transmission still
                 # holds its slot until it finishes, so a path sustains at most
                 # 2·delay·rate + buffer in flight, the pipeline capacity.
@@ -246,7 +249,26 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
         if t > end:
             break
         now = t
-        if kind == _EV_LOSS:
+        if kind == _EV_DATA:
+            f = faces[i]
+            f.pending -= 1
+            in_flight -= 1
+            sample = t - sent
+            if keep_srtt:
+                f.srtt = sample if f.srtt is None else \
+                    f.srtt + _RTT_ALPHA * (sample - f.srtt)
+            r_srtt = sample if r_srtt is None else \
+                r_srtt + _RTT_ALPHA * (sample - r_srtt)
+            wnd += 1.0 / wnd
+            # cur_w == int(wnd), one Data grows wnd by at most 1, and a
+            # float compares with an int exactly: int(wnd) rose by one.
+            if wnd >= cur_w + 1:
+                cur_w += 1
+                if cur_w > max_w:
+                    max_w = cur_w
+                if trace is not None:
+                    trace.append((t, cur_w))
+        elif kind == _EV_LOSS:
             pop(heap)
             loss_times.append(t)
             per_drop[i] += 1
@@ -265,38 +287,21 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
                     cur_w = w
                     if trace is not None:
                         trace.append((t, w))
+            continue
         else:
-            # A return hands its face's next one, if any, to the heap.
-            rets = returns[i]
-            rets.popleft()
-            if rets:
-                replace(heap, rets[0])
-            else:
-                pop(heap)
-            delivered += 1
-            per_del[i] += 1
             # Late Data still counts, but its Interest was already written
             # off: it moves neither the window nor what is out.
-            if kind == _EV_DATA:
-                f = faces[i]
-                f.pending -= 1
-                in_flight -= 1
-                sample = t - sent
-                if keep_srtt:
-                    f.srtt = sample if f.srtt is None else \
-                        f.srtt + _RTT_ALPHA * (sample - f.srtt)
-                r_srtt = sample if r_srtt is None else \
-                    r_srtt + _RTT_ALPHA * (sample - r_srtt)
-                wnd += 1.0 / wnd
-                w = int(wnd)
-                if w != cur_w:
-                    cur_w = w
-                    if w > max_w:
-                        max_w = w
-                    if trace is not None:
-                        trace.append((t, w))
-            if delivered >= stop:
-                break
+            per_late[i] += 1
+        # A return hands its face's next one, if any, to the heap.
+        rets = returns[i]
+        rets.popleft()
+        if rets:
+            replace(heap, rets[0])
+        else:
+            pop(heap)
+        delivered += 1
+        if delivered >= stop:
+            break
 
     elapsed = config.duration if config.duration is not None else now
     rate = delivered / elapsed
@@ -308,7 +313,11 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
         net_bps=rate * 8.0 * scenario.payload_bytes,
         losses=len(loss_times),
         loss_times=tuple(loss_times),
-        per_face_delivered=tuple(per_del),
+        # A sent Interest's Data came on time, or it was detected lost or
+        # is in flight; late Data adds to its face's deliveries.
+        per_face_delivered=tuple(
+            s - d - f.pending + late for s, d, f, late
+            in zip(per_sent, per_drop, faces, per_late)),
         per_face_sent=tuple(per_sent),
         per_face_dropped=tuple(per_drop),
         per_face_inflight=tuple(f.pending for f in faces),

@@ -135,8 +135,8 @@ class TestWmax:
         drawn = [0]
         real = sharing.placements
 
-        def counted(scenario, strategy):
-            for step in real(scenario, strategy):
+        def counted(lanes, strategy):
+            for step in real(lanes, strategy):
                 drawn[0] += 1
                 yield step
         monkeypatch.setattr("icnflow.model.placements", counted)
@@ -246,8 +246,8 @@ class TestCycle:
         drawn = [0]
         real = sharing.placements
 
-        def counted(scenario, strategy):
-            for i in real(scenario, strategy):
+        def counted(lanes, strategy):
+            for i in real(lanes, strategy):
                 drawn[0] += 1
                 yield i
         monkeypatch.setattr("icnflow.model.placements", counted)

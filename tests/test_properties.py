@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import asdict, replace
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _oracle
@@ -265,15 +266,27 @@ _LANE = st.tuples(
                                      st.floats(0.0, 15.0))))
 
 
+def _ug_lanes(*srtts):
+    return [(PathSpec(0.02, 10e6, 20), FaceState(pending=3, srtt=s))
+            for s in srtts]
+
+
 @settings(max_examples=EXAMPLES["selector_differential"], deadline=None,
           derandomize=True)
-@given(st.lists(_LANE, min_size=1, max_size=8), st.data(), ALL_STRATEGIES,
-       st.sampled_from([FPF_CAP_ORACLE, FPF_CAP_ESTIMATED]),
+@given(st.lists(_LANE, min_size=1, max_size=8).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                                 max_size=8)),
+       ALL_STRATEGIES, st.sampled_from([FPF_CAP_ORACLE, FPF_CAP_ESTIMATED]),
        st.one_of(st.none(), st.integers(1, 2**32)), st.integers(1, 4))
-def test_face_selector_matches_the_key_list_reference(pool, data, strat,
-                                                      cap_mode, seed, calls):
-    lanes = [pool[k] for k in data.draw(st.lists(
-        st.integers(0, len(pool) - 1), min_size=1, max_size=8))]
+# ug's probe for an unsampled face is the least sampled srtt, here on the
+# last face, not the first sampled one.
+@example(_ug_lanes(None, 0.3, 0.02), StrategyId.UG, FPF_CAP_ORACLE, None, 3)
+# With no face sampled the probe is 1.0.  A probe of inf, 0 or None fails
+# at once; 6 equal weights sum with rounding, so many other values (0.3,
+# 0.7, 3.0, not a power of two) show in the credits.
+@example(_ug_lanes(*[None] * 6), StrategyId.UG, FPF_CAP_ORACLE, None, 4)
+def test_face_selector_matches_the_key_list_reference(lanes, strat, cap_mode,
+                                                      seed, calls):
     scen = Scenario(tuple(path for path, _ in lanes))
     faces = [replace(face) for _, face in lanes]
     ref_faces = [replace(face) for _, face in lanes]
@@ -314,6 +327,10 @@ _STOP = st.one_of(
        st.sampled_from([FPF_CAP_ORACLE, FPF_CAP_ESTIMATED]),
        st.one_of(st.just(0), st.integers(1, 2**32)),
        st.sampled_from([1, 8, 20]), _STOP)
+# Late Data lands on both faces, 11 on face 0 and 10 on face 1: each face's
+# delivered count, derived from sent, detected and in flight, must count it.
+@example([(0.001, 5e6, 7), (0.002, 5e6, 7)], 1250, StrategyId.UG,
+         LOSS_TIMEOUT, FPF_CAP_ORACLE, 0, 20, {"total_chunks": 245})
 # A burst of 20 where a Data return and a drop meet at t = 10 ms at the end
 # of a chain of equal-time events, each sending the next Interests.
 @example([(0.004, 10e6, 0), (0.002, 5e6, 1), (0.002, 10e6, 2)], 1250,
@@ -335,3 +352,21 @@ def test_simulator_matches_the_three_event_reference(
         paths, msg_bytes, scen.payload_bytes, strat.token,
         initial_window=window, seed=seed, loss_signal=loss,
         fpf_caps=cap_mode, trace_window=True, **stop)
+
+
+# The shipped sweeps: path 0 at 20 ms and 10 Mbit/s, path 1 swept in delay
+# (20-200 ms) or rate (2-40 Mbit/s), 20-message buffers.  Equal pending
+# counts come at every turn, so a nonzero seed breaks ties at random.  At
+# 2 s no strategy loses a message; by 6 s most do.
+@pytest.mark.parametrize("duration", [2.0, 6.0])
+@pytest.mark.parametrize("delay_ms, mbps", [(20, 10), (100, 10), (200, 10),
+                                            (20, 2), (20, 40)])
+def test_simulator_matches_the_reference_on_the_paper_sweeps(delay_ms, mbps,
+                                                             duration):
+    paths = [(0.020, 10e6, 20), (delay_ms / 1e3, mbps * 1e6, 20)]
+    scen = Scenario(tuple(PathSpec(*p) for p in paths))
+    for strat in StrategyId:
+        got = run(scen, strat, SimConfig(duration=duration, seed=7))
+        assert asdict(got) == _oracle.ref_run(
+            paths, scen.data_msg_bytes, scen.payload_bytes, strat.token,
+            duration=duration, seed=7), strat

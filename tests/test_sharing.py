@@ -9,7 +9,7 @@ import pytest
 
 import _oracle
 from icnflow import PathSpec, Scenario, StrategyId
-from icnflow.core import pipeline_capacity, rate_msgs
+from icnflow.core import path_lanes, pipeline_capacity, rate_msgs
 from icnflow.sharing import FaceState, picker, placements, sharing_function
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
@@ -86,7 +86,8 @@ class TestPendingWeighted:
             for s in PLACED:
                 share = sharing_function(s)
                 per = [0.0] * len(paths)
-                steps = placements(scen, s) if s is StrategyId.CF else None
+                steps = (placements(path_lanes(scen), s) if s is StrategyId.CF
+                         else None)
                 for h in range(1, sum(caps) + len(caps) + 1):
                     want = _oracle.ref_share(paths, scen.data_msg_bytes,
                                              s.token, h)
@@ -176,11 +177,11 @@ class TestLookup:
     def test_even_splits_have_no_placement_process(self):
         for s in (StrategyId.PE, StrategyId.UG):
             with pytest.raises(ValueError, match="no placement process"):
-                placements(TWIN, s)
+                placements(path_lanes(TWIN), s)
         # re and fpf are counted, not walked.
         for s in (StrategyId.RE, StrategyId.FPF):
             with pytest.raises(ValueError, match="no placement walk"):
-                placements(TWIN, s)
+                placements(path_lanes(TWIN), s)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "icnflow"
