@@ -8,21 +8,20 @@ the aggregate rate b(w) the sharing sustains, so the steady receive-rate is
 the cycle's message total over the cycle's duration, the sum of w/b(w).
 
 One search finds w_max and the path whose pipeline bounds it, the one the
-next Interest would overflow.  pe/ug: in closed form.  re/fpf: by counting
-each path's keys below the first overflow, with no walk.  cf: one placement
-walk that records each window's rate.  The duration is then a sum over
-pieces, runs of windows where b(w) is constant or linear in w: pe/ug have
-one piece per saturation point, re/fpf a few per distinct 2·delay, and cf
-one per window.  A returned cycle keeps its numbers, its binding path and
-the range of its windows, nothing per round.
+next Interest would overflow.  pe/ug: in closed form.  re/cf/fpf: by
+counting each path's keys below the first overflow, with no walk.  The
+duration is then a sum over pieces, runs of windows where b(w) is constant
+or linear in w: pe/ug have one piece per saturation point and re/fpf a few
+per distinct 2·delay.  cf's b(w) moves at nearly every window, so its
+cycle walks its placements to w_max and adds each window's term as it goes.
+A returned cycle keeps its numbers, its binding path and the range of its
+windows, nothing per round.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import islice
 
 from .core import Scenario, StrategyId, path_lanes, validate
 from .sharing import count_below, first_overflow, keys_below, placements
@@ -56,48 +55,25 @@ def _search(scenario: Scenario, strategy: StrategyId):
 
     pe/ug: n*min(C), exact as the caps are integers ((n*c)/n == c); the
     paths of least capacity overflow first, together, and the lowest index
-    binds.  re/fpf: the least key at cap binds; fpf fills every cap before
-    it, re every key below it, so `found` is each path's count at w_max.
-    cf: window w's allocation is the first w steps of one placement walk,
-    which stops at its first overflow, whose path binds; `found` records
-    the rate b_1..b_w_max, 8 bytes a step.  The runaway guard compares the
-    count with _SEARCH_CAP, and stops cf's walk after _SEARCH_CAP + 1.
+    binds.  re/cf/fpf: the least key at cap binds; fpf fills every cap
+    before it, re and cf every key below it, so `found` is each path's count
+    at w_max.  The runaway guard compares the count with _SEARCH_CAP.
     """
     problems = validate(scenario)
     if problems:
         raise ValueError("; ".join(problems))
     lanes = path_lanes(scenario)
     caps = [cap for _, _, cap in lanes]
-    least = min(caps)
     found = None
     if strategy in (StrategyId.PE, StrategyId.UG):
+        least = min(caps)
         w_hi, binding = len(caps) * least, caps.index(least)
-    elif strategy is not StrategyId.CF:
-        key = first_overflow(lanes)
-        found = (caps if strategy is StrategyId.FPF else
-                 [keys_below(lane, i, key) for i, lane in enumerate(lanes)])
-        w_hi, binding = sum(found), key[2]
-    elif least > _SEARCH_CAP:
-        # cf fits every window up to min(caps), as no path holds more than
-        # the whole window: past the guard, that bound raises unwalked.
-        w_hi = least
     else:
-        found = array("d")
-        record = found.append
-        per_path, b_w = [0.0] * len(caps), 0.0
-        for i, p, rtt in islice(placements(lanes, strategy),
-                                _SEARCH_CAP + 1):
-            # Only the path just placed on can have gone over its cap.
-            if p > caps[i]:
-                break
-            r = p / rtt
-            # Old rate out, then new rate in: adding their difference
-            # instead drifted 40 times further from an fsum of the rates
-            # over a 50-path walk.
-            b_w = b_w - per_path[i] + r
-            per_path[i] = r
-            record(b_w)
-        w_hi, binding = len(found), i
+        key = first_overflow(lanes, strategy)
+        found = (caps if strategy is StrategyId.FPF else
+                 [keys_below(lane, i, key, strategy)
+                  for i, lane in enumerate(lanes)])
+        w_hi, binding = sum(found), key[2]
     if w_hi < 1:
         raise ModelError(
             "no feasible window: a single pending Interest already "
@@ -353,19 +329,26 @@ def cycle(scenario: Scenario, strategy: StrategyId) -> CycleStats:
     """Steady-state statistics of one halving-to-peak window cycle.
 
     Each window w_lo..w_hi is one round of rate b(w); the duration adds
-    w/b(w) over the strategy's pieces (cf: one a window, from its walk's
-    record, dropped on return).  A result holds O(1) memory, and `rounds`
-    is the range of its windows.
+    w/b(w) over the strategy's pieces, or for cf over the windows of one
+    walk of w_max placements, which keeps only each path's rate.  A result
+    holds O(1) memory, and `rounds` is the range of its windows.
     """
     w_hi, binding, lanes, found = _search(scenario, strategy)
     # The halved window never drops below one Interest, so a cycle on a
     # one-Interest peak is the single round w == 1, not an empty round.
     w_lo = max(1, w_hi // 2)
     if strategy is StrategyId.CF:
-        a_total = 0.0
-        record = islice(found, w_lo - 1, None)
-        for w, b_w in zip(range(w_lo, w_hi + 1), record):
-            a_total += w / b_w
+        a_total, per_path, b_w = 0.0, [0.0] * len(lanes), 0.0
+        # range first: zip stops before it draws placement w_max + 1.
+        for w, (i, p, rtt) in zip(range(1, w_hi + 1), placements(lanes)):
+            r = p / rtt
+            # Old rate out, then new rate in: adding their difference
+            # instead drifted 40 times further from an fsum of the rates
+            # over a 50-path walk.
+            b_w = b_w - per_path[i] + r
+            per_path[i] = r
+            if w >= w_lo:
+                a_total += w / b_w
     else:
         a_total = _seconds(_even_pieces(lanes, w_hi) if found is None
                            else _fill_pieces(lanes, found), w_lo, w_hi)

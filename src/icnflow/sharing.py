@@ -6,16 +6,18 @@ maps to the average number of pending Interests on every path.  The model
 sums its rounds without it (by pieces for pe/ug/re/fpf, from `placements`
 for cf); the allocation tests and the bench's tracer read it.  pe/ug split
 H evenly.  re/cf/fpf each have one placement process that puts one
-Interest at a time on a path, and their allocation is its first H steps.
-re and fpf place as the simulator's picker does before any Data comes back,
-on the least key (max(2·delay, pending/rate), pending, index); as a path's
-key rises with its own pending count, their allocation is counted path by
-path (`count_below`, `keys_below`, `least_keys`), with no walk.  cf keeps
-the model's least pending/sqrt(RTT) rule, because the simulator's cf is a
-stride over 1/pending; `placements` walks it on a heap, one heappushpop of
-the placed path's entry per step, and yields each step's path, that path's
-new pending count and its RTT at that count.  All of them satisfy
-sum(allocation) == H and allocation >= 0, and allocations only grow with H.
+Interest at a time on the path of least key (value, pending, index), and
+their allocation is its first H steps.  re and fpf place as the
+simulator's picker does before any Data comes back, on the value
+max(2·delay, pending/rate); cf keeps the model's pending/sqrt(RTT) rule,
+because the simulator's cf is a stride over 1/pending.  As a path's key
+rises with its own pending count, every allocation is counted path by path
+(`keys_below`, `least_keys`), with no walk.  Only the model's cf cycle
+walks, as it needs each window's rate: `placements` runs cf's process on a
+heap, one heappushpop of the placed path's entry per step, and yields each
+step's path, that path's new pending count and its RTT at that count.  All
+of them satisfy sum(allocation) == H and allocation >= 0, and allocations
+only grow with H.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from .core import Scenario, StrategyId, path_lanes
 # Unused here; bench/tracing.py patches it and its traced run needs it.
@@ -176,11 +177,14 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 # ---------------------------------------------------------------------------
 # long-run allocation of a window
 #
-# re and fpf place each Interest on the least key (max(2·delay, p/rate), p,
-# index), p the path's pending count, as their pickers do before any Data
-# comes back.  A path's key rises with its own p, so the placement order is
-# the sorted order of every path's keys, and how many Interests a path
-# holds below any key is a count for that path alone.  Nothing is walked.
+# re, cf and fpf place each Interest on the least key (value, p, index), p
+# the path's pending count.  re and fpf, as their pickers do before any Data
+# comes back, take the value max(2·delay, p/rate), the path's core.rtt; cf
+# takes p/sqrt(rtt), which is p/sqrt(2·delay) below the pipe and
+# sqrt(p·rate) past it.  Either value rises with the path's own p, so the
+# placement order is the sorted order of every path's keys, and how many
+# Interests a path holds below any key is a count for that path alone.
+# Nothing is walked.
 
 _EXACT = 2.0 ** 53  # below this, p/x rises with every whole p
 
@@ -190,62 +194,91 @@ def count_below(v: float, x: float, le: bool = False) -> int:
     the float division rounds it: the product v·x, then a step or two.
     Past 2**53, where consecutive p share a float, it is v·x rounded up:
     no model window comes near that."""
+    if le:  # p/x <= v is p/x < the next float up
+        v = math.nextafter(v, math.inf)
     q = v * x
     if not q < _EXACT:
         return math.ceil(min(q, _EXACT))
     q = math.ceil(q)
-    if le:
-        while q and (q - 1) / x > v:
-            q -= 1
-        while q / x <= v:
-            q += 1
-    else:
-        while q and (q - 1) / x >= v:
-            q -= 1
-        while q / x < v:
-            q += 1
+    while q and (q - 1) / x >= v:
+        q -= 1
+    while q / x < v:
+        q += 1
     return q
 
 
-def keys_below(lane, i: int, key) -> int:
-    """How many keys of path `i`, whose lane is (2·delay, rate, _), are
-    below `key` = (value, pending, index): its pending count once every
-    Interest before `key` is placed."""
-    two_d, rate, _ = lane
-    v, p, j = key
-    if v < two_d:
-        return 0
-    lt = count_below(v, rate) if v > two_d else 0
-    if v > two_d and lt / rate != v:  # no key of value v
-        return lt
-    # Keys of equal value go by pending, then index.
-    return max(lt, min(count_below(v, rate, True), p + (i < j)))
-
-
-def key_at(lane, p: int, i: int):
-    """Path i's key for its next Interest while it holds p: its core.rtt
-    at p, then p, then i."""
+def _value(lane, p: int, cf: bool) -> float:
+    """The key value of a path whose lane is (2·delay, rate, _) while it
+    holds p: its core.rtt, or cf's p/sqrt(rtt) as `placements` rounds it."""
     two_d, rate, _ = lane
     k = p / rate
-    return (two_d if k < two_d else k), p, i
+    if k < two_d:
+        k = two_d
+    return p / math.sqrt(k) if cf else k
 
 
-def first_overflow(lanes):
+def _count(lane, v: float, cf: bool, le: bool = False) -> int:
+    """How many of the path's key values at p = 0, 1, 2, ... are below v
+    (at most v with `le`).  re's are `count_below` past the floor 2·delay.
+    cf's start from v·sqrt(2·delay), or v²/rate past the pipe, and take a
+    float-exact step or two; past 2**53 the estimate is rounded up, as in
+    `count_below`."""
+    two_d, rate, _ = lane
+    if le:
+        v = math.nextafter(v, math.inf)
+    if not cf:
+        return count_below(v, rate) if v > two_d else 0
+    q = v * math.sqrt(two_d)
+    if q > two_d * rate:
+        q = v * v / rate
+    if not q < _EXACT:
+        return math.ceil(min(q, _EXACT))
+    q = math.ceil(q)
+    while q and _value(lane, q - 1, True) >= v:
+        q -= 1
+    while _value(lane, q, True) < v:
+        q += 1
+    return q
+
+
+def keys_below(lane, i: int, key, strategy: StrategyId) -> int:
+    """How many keys of path `i`, whose lane is (2·delay, rate, _), are
+    below `key` = (value, pending, index) in the strategy's order: its
+    pending count once every Interest before `key` is placed."""
+    cf = strategy is StrategyId.CF
+    v, p, j = key
+    lt = _count(lane, v, cf)
+    if _value(lane, lt, cf) != v:  # no key of value v
+        return lt
+    # Keys of equal value go by pending, then index.
+    return max(lt, min(_count(lane, v, cf, True), p + (i < j)))
+
+
+def key_at(lane, p: int, i: int, strategy: StrategyId):
+    """Path i's key for its next Interest while it holds p, in the
+    strategy's order: its value, then p, then i."""
+    return _value(lane, p, strategy is StrategyId.CF), p, i
+
+
+def first_overflow(lanes, strategy: StrategyId):
     """The least key at cap: the placement that first overflows a pipeline
-    under re, and fpf's first spill once every path is full."""
-    return min([key_at(lane, lane[2], i) for i, lane in enumerate(lanes)])
+    under re and cf, and fpf's first spill once every path is full."""
+    return min([key_at(lane, lane[2], i, strategy)
+                for i, lane in enumerate(lanes)])
 
 
-def least_keys(lanes, starts, ends, total: int) -> list[int]:
-    """Each path's count of the `total` least keys, path i's keys being
-    those of pending starts[i] up to ends[i] (math.inf: no end).
+def least_keys(lanes, starts, ends, total: int,
+               strategy: StrategyId) -> list[int]:
+    """Each path's count of the `total` least keys in the strategy's order,
+    path i's keys being those of pending starts[i] up to ends[i]
+    (math.inf: no end).
 
     The (total+1)-th key is found by bisection: its value on floats, then
     its pending and its index on whole numbers, each step counting the keys
     below a trial key; the allocation is the count below it.
     """
     def counts(key):
-        return [min(max(keys_below(lane, i, key), a), b) - a
+        return [min(max(keys_below(lane, i, key, strategy), a), b) - a
                 for i, (lane, a, b) in enumerate(zip(lanes, starts, ends))]
 
     def after(key):  # more than `total` keys are below `key`
@@ -253,8 +286,10 @@ def least_keys(lanes, starts, ends, total: int) -> list[int]:
 
     # Past `total` keys of one path, or all of every path's (the caller
     # asks for fewer), more than `total` keys are placed.
-    lo, hi = 0.0, max(key_at(lane, min(a + total, b - 1), 0)[0]
+    lo, hi = 0.0, max(key_at(lane, min(a + total, b - 1), 0, strategy)[0]
                       for lane, a, b in zip(lanes, starts, ends))
+    if after((lo, math.inf, 0)):  # cf's keys at pending 0 are all 0.0
+        hi = lo
     while lo < (mid := lo + (hi - lo) / 2) < hi:
         lo, hi = (lo, mid) if after((mid, math.inf, 0)) else (mid, hi)
     p = _first(lambda p: after((hi, p, len(lanes))), max(starts) + total)
@@ -272,30 +307,18 @@ def _first(holds, hi: int) -> int:
     return lo
 
 
-def placements(lanes, strategy: StrategyId):
+def placements(lanes):
     """cf's placement process over the paths whose `core.path_lanes` are
     `lanes`: an endless walk that yields `(path, pending, rtt)` for each
     successive Interest: the path it is placed on, that path's pending count
     after it and its core.rtt there, so its first k paths are window k's
-    allocation.
+    allocation.  The model's cf cycle reads it for each window's rate.
 
-    Each path has one heap entry, least first: (pending/sqrt(rtt), pending,
+    Each path has one heap entry, its key (pending/sqrt(rtt), pending,
     index).  A walk only adds Interests and a path's entry depends on its
     own pending only, so a step pushes the placed path's new entry, built
-    from the rtt it yields, and pops the least; no entry goes stale.  pe
-    and ug place no Interest one at a time, and re and fpf are counted
-    (`least_keys`): they raise ValueError.
+    from the rtt it yields, and pops the least; no entry goes stale.
     """
-    if strategy in (StrategyId.PE, StrategyId.UG):
-        raise ValueError(f"{strategy.token} has no placement process: it "
-                         "splits the window evenly")
-    if strategy is not StrategyId.CF:
-        raise ValueError(f"{strategy.token} has no placement walk: its "
-                         "allocation is counted")
-    return _heap_walk(lanes)
-
-
-def _heap_walk(lanes):
     # The least entry is held out of the heap as `top`, so a step is one
     # heappushpop: one compare while the same path stays least.
     heap = [(0.0, 0, i) for i in range(len(lanes))]  # pending 0: key 0
@@ -317,41 +340,29 @@ def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:
     return (total / n,) * n
 
 
-def _least_rtt(scenario: Scenario, total: int) -> tuple[float, ...]:
+def _placed(scenario: Scenario, total: int,
+            strategy: StrategyId) -> tuple[float, ...]:
+    # fpf fills every path to its cap before any spills; its spill, and all
+    # of re's and cf's allocation, go on the uncapped keys from there.
     lanes = path_lanes(scenario)
     n = len(lanes)
-    return tuple(map(float, least_keys(lanes, [0] * n, [math.inf] * n,
-                                       total)))
-
-
-def _fill_first(scenario: Scenario, total: int) -> tuple[float, ...]:
-    # Every path fills to its cap before any spills; the spill then goes on
-    # the uncapped keys from each cap on.
-    lanes = path_lanes(scenario)
-    caps = [cap for _, _, cap in lanes]
+    caps = ([cap for _, _, cap in lanes] if strategy is StrategyId.FPF
+            else [0] * n)
     if total < sum(caps):
-        held = least_keys(lanes, [0] * len(caps), caps, total)
+        held = least_keys(lanes, [0] * n, caps, total, strategy)
     else:
         held = [c + s for c, s in zip(caps, least_keys(
-            lanes, caps, [math.inf] * len(caps), total - sum(caps)))]
+            lanes, caps, [math.inf] * n, total - sum(caps), strategy))]
     return tuple(map(float, held))
-
-
-def _stopped_walk(scenario: Scenario, total: int) -> tuple[float, ...]:
-    per = [0.0] * len(scenario.paths)
-    for i, _, _ in islice(placements(path_lanes(scenario), StrategyId.CF),
-                          total):
-        per[i] += 1.0
-    return tuple(per)
 
 
 def sharing_function(strategy: StrategyId):
     """The strategy's allocation, `(scenario, total) -> per-path pending`.
 
     pe and ug share the even split: ug's inverse-RTT round robin settles on
-    it.  re and fpf count each path's keys among the `total` least; cf
-    reads `placements` stopped at `total`.
+    it.  re, cf and fpf count each path's keys among the `total` least,
+    fpf below every cap first.
     """
-    return {StrategyId.PE: _even_split, StrategyId.UG: _even_split,
-            StrategyId.RE: _least_rtt, StrategyId.FPF: _fill_first,
-            StrategyId.CF: _stopped_walk}[strategy]
+    if strategy in (StrategyId.PE, StrategyId.UG):
+        return _even_split
+    return lambda scenario, total: _placed(scenario, total, strategy)

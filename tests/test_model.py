@@ -74,8 +74,8 @@ class TestWmax:
         assert wmax(dead, StrategyId.FPF) == 30
 
     def test_unbounded_capacity_is_caught(self, monkeypatch):
-        # wmax() and cycle() both raise before any walk starts: re and fpf
-        # compare their counted w_max with the guard, cf its least cap.
+        # wmax() and cycle() both raise before any walk starts: every
+        # strategy compares its counted w_max with the guard.
         def no_walk(*args):
             raise AssertionError("walked to a bound past the guard")
         monkeypatch.setattr("icnflow.model.placements", no_walk)
@@ -84,8 +84,8 @@ class TestWmax:
             for entry in (wmax, cycle):
                 with pytest.raises(ModelError, match="unbounded"):
                     entry(scen, s)
-        # A cap past 2**53 also stops re's count, where consecutive pending
-        # counts share a float.
+        # A cap past 2**53 also stops re's and cf's counts, where
+        # consecutive pending counts share a float.
         for buffer in (10 ** 9, 10 ** 17):
             bottomless = Scenario((PathSpec(0.020, 10e6, buffer),))
             for s in StrategyId:
@@ -95,24 +95,25 @@ class TestWmax:
         beside = Scenario((PathSpec(0.020, 10e6, 20),
                            PathSpec(0.020, 10e6, 10 ** 9)))
         unbounded(beside, StrategyId.FPF)
-        # Every window up to min(caps) fits, so a smallest cap past the guard
-        # raises at once: TWO_PATH's caps are 30 and 81, and cf must not
-        # start its walk.
+        # TWO_PATH's caps are 30 and 81: every count is past a guard of 29.
         monkeypatch.setattr("icnflow.model._SEARCH_CAP", 29)
         for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
             unbounded(TWO_PATH, s)
 
     def test_binding_path_on_many_paths(self):
         # 300 paths of seven delays and three buffer sizes, so many tie: the
-        # binding path is still the lowest index the next Interest overflows.
+        # binding path is still the lowest index the next Interest overflows,
+        # read from the reference walk, not from the count wmax() makes.
         wide = Scenario(tuple(PathSpec(0.001 * (1 + k % 7), 10e6, 1 + k % 3)
                               for k in range(300)))
         caps = [pipeline_capacity(p, rate_msgs(wide, i))
                 for i, p in enumerate(wide.paths)]
+        paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in wide.paths]
         for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
-            share = sharing.sharing_function(s)
             cs = cycle(wide, s)
-            fit, past = share(wide, cs.w_max), share(wide, cs.w_max + 1)
+            fit, past = (_oracle.ref_share(paths, wide.data_msg_bytes,
+                                           s.token, h)
+                         for h in (cs.w_max, cs.w_max + 1))
             assert all(x <= c for x, c in zip(fit, caps)), s
             spilled = [i for i, (x, c) in enumerate(zip(past, caps)) if x > c]
             assert spilled and cs.binding_path == spilled[0], s
@@ -131,22 +132,22 @@ class TestWmax:
 
     def test_runaway_guard_stops_the_walk(self, monkeypatch):
         # cf on TWO_PATH (caps 30 and 81) peaks at 73, past its smallest
-        # cap, so only the guard inside the walk can stop it short.
+        # cap: the guard compares its count and raises before any walk.
         drawn = [0]
         real = sharing.placements
 
-        def counted(lanes, strategy):
-            for step in real(lanes, strategy):
+        def counted(lanes):
+            for step in real(lanes):
                 drawn[0] += 1
                 yield step
         monkeypatch.setattr("icnflow.model.placements", counted)
         monkeypatch.setattr("icnflow.model._SEARCH_CAP", 73)
         assert wmax(TWO_PATH, StrategyId.CF) == 73
         monkeypatch.setattr("icnflow.model._SEARCH_CAP", 72)
-        drawn[0] = 0
-        with pytest.raises(ModelError, match="unbounded"):
-            wmax(TWO_PATH, StrategyId.CF)
-        assert drawn[0] <= 72 + 2
+        for entry in (wmax, cycle):
+            with pytest.raises(ModelError, match="unbounded"):
+                entry(TWO_PATH, StrategyId.CF)
+        assert drawn[0] == 0
 
 
 class TestCycle:
@@ -238,28 +239,27 @@ class TestCycle:
                 assert abs(y - exact) <= exact / 10 ** 15, (scen, s)
 
     def test_cycle_work_is_linear_in_w_max(self, monkeypatch):
-        # pe/ug/re/fpf count and draw no placement.  cf's one walk to the
-        # first overflow (w_max + 1 placements) gives w_max, the binding path
-        # and every window's aggregate rate, which cycle() adds up with no
-        # further picks.  Rebuilding every window from zero would draw
+        # Every strategy counts w_max and draws no placement for it.  cf's
+        # cycle() then walks its w_max placements once, adding each window's
+        # term as it goes.  Rebuilding every window from zero would draw
         # O(w_max^2) placements.
         drawn = [0]
         real = sharing.placements
 
-        def counted(lanes, strategy):
-            for i in real(lanes, strategy):
+        def counted(lanes):
+            for i in real(lanes):
                 drawn[0] += 1
                 yield i
         monkeypatch.setattr("icnflow.model.placements", counted)
         monkeypatch.setattr("icnflow.sharing.placements", counted)
         for s in StrategyId:
-            walks = s is StrategyId.CF
             drawn[0] = 0
             w_max = cycle(EIGHT, s).w_max
-            assert drawn[0] == (w_max + 1 if walks else 0), (s, drawn[0])
+            assert drawn[0] == (w_max if s is StrategyId.CF else 0), \
+                (s, drawn[0])
             drawn[0] = 0
             assert wmax(EIGHT, s) == w_max
-            assert drawn[0] == (w_max + 1 if walks else 0), (s, drawn[0])
+            assert drawn[0] == 0, (s, drawn[0])
 
     def test_even_split_on_twin_paths(self):
         cs = cycle(TWIN, StrategyId.PE)
@@ -321,20 +321,15 @@ class TestRoundsOnDemand:
     def test_cycle_memory_does_not_grow_with_the_rounds(self):
         # w_max 4408 (5842 for fpf) on 8 paths, and ten times that with
         # 5000-message buffers.  Built eagerly, the 2200+ rounds with two
-        # 8-tuples each peak at 0.84-1.4 MB on the smaller scenario.  pe, ug,
-        # re and fpf keep O(n) state and a few pieces, and peak at 1.5-3.5 kB
-        # on both.  What grows with w_max is cf's record of each window's
-        # aggregate rate, an array of 8-byte floats, which peaks near 40 kB
-        # on the smaller one; a list of float objects would peak at
-        # 144-188 kB.  cycle() drops the record on return; a result that kept
-        # it would hold 38-48 kB, ten times the 4 kB bound on what the result
-        # keeps.
+        # 8-tuples each peak at 0.84-1.4 MB on the smaller scenario.  Every
+        # strategy keeps O(n) state: pe, ug, re and fpf a few pieces, cf one
+        # heap entry and one rate a path for its walk; they peak at 1.3-5.1
+        # kB on both.  A record of each window's rate, 8 bytes a window,
+        # would pass 8 kB on both.
         for buffer in (500, 5000):
             big = Scenario(tuple(PathSpec(0.010 * k, 100e6, buffer)
                                  for k in range(1, 9)))
             for s in StrategyId:
-                if s is StrategyId.CF and buffer > 500:
-                    continue
                 tracemalloc.start()
                 try:
                     cs = cycle(big, s)
@@ -342,8 +337,7 @@ class TestRoundsOnDemand:
                 finally:
                     tracemalloc.stop()
                 assert cs.w_max >= 8 * buffer + 408, s
-                assert peak < (64_000 if s is StrategyId.CF else 8_000), \
-                    (s, buffer, peak)
+                assert peak < 8_000, (s, buffer, peak)
                 assert kept < 4_000, (s, buffer, kept)
 
 

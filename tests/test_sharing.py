@@ -10,7 +10,8 @@ import pytest
 import _oracle
 from icnflow import PathSpec, Scenario, StrategyId
 from icnflow.core import path_lanes, pipeline_capacity, rate_msgs
-from icnflow.sharing import FaceState, picker, placements, sharing_function
+from icnflow.sharing import (FaceState, key_at, keys_below, picker,
+                             placements, sharing_function)
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
@@ -72,11 +73,11 @@ class TestPendingWeighted:
         assert share_cf(s, 17) == (17.0,)
 
     def test_placements_break_exact_ties_as_the_reference_scan(self):
-        # re and fpf count, cf walks a heap; each one's allocation at every h
-        # must be the reference scan's, and each cf step's pending count and
-        # rtt the reference's for the placed path, bit for bit.  sum(caps) +
-        # n steps take every placement past every cap, and fpf into its
-        # spill.
+        # re, cf and fpf count; each one's allocation at every h must be the
+        # reference scan's, and so must cf's heap walk, each of its steps'
+        # pending count and rtt the reference's for the placed path, bit for
+        # bit.  sum(caps) + n steps take every placement past every cap, and
+        # fpf into its spill.
         for scen in TIES:
             paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
             rates = [_oracle.ref_msg_rate(r, scen.data_msg_bytes)
@@ -86,7 +87,7 @@ class TestPendingWeighted:
             for s in PLACED:
                 share = sharing_function(s)
                 per = [0.0] * len(paths)
-                steps = (placements(path_lanes(scen), s) if s is StrategyId.CF
+                steps = (placements(path_lanes(scen)) if s is StrategyId.CF
                          else None)
                 for h in range(1, sum(caps) + len(caps) + 1):
                     want = _oracle.ref_share(paths, scen.data_msg_bytes,
@@ -173,15 +174,38 @@ class TestSimulatorOrder:
                     ref_faces[i].pending += 1
 
 
-class TestLookup:
-    def test_even_splits_have_no_placement_process(self):
-        for s in (StrategyId.PE, StrategyId.UG):
-            with pytest.raises(ValueError, match="no placement process"):
-                placements(path_lanes(TWIN), s)
-        # re and fpf are counted, not walked.
-        for s in (StrategyId.RE, StrategyId.FPF):
-            with pytest.raises(ValueError, match="no placement walk"):
-                placements(path_lanes(TWIN), s)
+class TestKeyCounts:
+    def test_keys_below_counts_each_paths_keys(self):
+        # A path's count below a trial key against a brute-force count of
+        # its keys (value, pending, index), the value as the reference
+        # computes it: re's rtt, cf's pending/sqrt(rtt).  The trial keys
+        # take every path's value at cap, which identical paths tie exactly,
+        # with pending around that cap and every index.
+        for scen in TIES:
+            paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
+            rates = [_oracle.ref_msg_rate(r, scen.data_msg_bytes)
+                     for _, r, _ in paths]
+            lanes = path_lanes(scen)
+            for s in (StrategyId.RE, StrategyId.CF):
+                def value(i, p):
+                    rtt = _oracle.ref_rtt(paths[i][0], rates[i], p)
+                    return p / math.sqrt(rtt) if s is StrategyId.CF else rtt
+                at_cap = [value(i, cap) for i, (_, _, cap) in enumerate(lanes)]
+                keys = []  # each path's keys up to the first above every cap's
+                for i, lane in enumerate(lanes):
+                    cap = lane[2]
+                    assert key_at(lane, cap, i, s) == (at_cap[i], cap, i)
+                    keys.append([(value(i, 0), 0, i)])
+                    while keys[i][-1][0] <= max(at_cap):
+                        p = len(keys[i])
+                        keys[i].append((value(i, p), p, i))
+                for v, (_, _, cap) in zip(at_cap, lanes):
+                    for trial in ((v, cap + dp, j) for dp in (-1, 0, 1)
+                                  for j in range(len(lanes) + 1)):
+                        for i, lane in enumerate(lanes):
+                            want = sum(k < trial for k in keys[i])
+                            assert keys_below(lane, i, trial, s) == want, \
+                                (scen, s, trial, i)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "icnflow"
