@@ -67,13 +67,6 @@ def pipeline_capacity(path: PathSpec, msg_rate: float) -> int:
     return math.floor(2.0 * path.delay * msg_rate + path.buffer_msgs + _CAP_EPS)
 
 
-def path_lanes(scenario: Scenario) -> list[tuple[float, float, int]]:
-    """Each path's `(2·delay, message rate, pipeline capacity)`."""
-    rates = [rate_msgs(scenario, i) for i in range(len(scenario.paths))]
-    return [(2.0 * p.delay, r, pipeline_capacity(p, r))
-            for p, r in zip(scenario.paths, rates)]
-
-
 def is_whole(x) -> bool:
     """True for a whole number in the float range: 3 or 3.0, not 2.5 or inf."""
     return abs(x) <= sys.float_info.max and x == math.floor(x)
@@ -89,7 +82,22 @@ def shown(x) -> str:
 
 def validate(scenario: Scenario) -> list[str]:
     """Returns the list of problems; an empty list means usable."""
-    errors = []
+    return _checked(scenario)[0]
+
+
+def path_lanes(scenario: Scenario) -> list[tuple[float, float, int]]:
+    """Each path's `(2·delay, message rate, pipeline capacity)`.  Raises
+    ValueError with validate()'s problems for a scenario it rejects."""
+    problems, lanes = _checked(scenario)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return lanes
+
+
+def _checked(scenario: Scenario):
+    """`(problems, lanes)` from one pass over the paths: each path's rate
+    and capacity are checked where its lane is built."""
+    errors, lanes = [], []
     if not scenario.paths:
         errors.append("empty path list")
     msg_ok = is_whole(scenario.data_msg_bytes) and scenario.data_msg_bytes > 0
@@ -107,14 +115,16 @@ def validate(scenario: Scenario) -> list[str]:
                 f"got {shown(p.buffer_msgs)}")
         if len(errors) > found or not msg_ok:
             continue
-        msg_rate = rate_msgs(scenario, i)
-        capacity = 2.0 * p.delay * msg_rate + p.buffer_msgs
+        two_d, msg_rate = 2.0 * p.delay, rate_msgs(scenario, i)
+        capacity = two_d * msg_rate + p.buffer_msgs
         if not math.isfinite(capacity):
             errors.append(f"path {i}: pipeline capacity 2*delay*rate + "
                           "buffer overflows a float")
         elif msg_rate == 0 or not math.isfinite(capacity / msg_rate):
             errors.append(f"path {i}: message rate too low: a full "
                           "pipeline's backlog time overflows a float")
+        else:  # as pipeline_capacity() floors it
+            lanes.append((two_d, msg_rate, math.floor(capacity + _CAP_EPS)))
     if not msg_ok:
         errors.append(f"data_msg_bytes must be a finite whole number > 0, "
                       f"got {shown(scenario.data_msg_bytes)}")
@@ -125,4 +135,4 @@ def validate(scenario: Scenario) -> list[str]:
         errors.append(
             f"payload ({scenario.payload_bytes} B) exceeds message size "
             f"({scenario.data_msg_bytes} B)")
-    return errors
+    return errors, lanes

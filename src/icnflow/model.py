@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Scenario, StrategyId, path_lanes, validate
+from .core import Scenario, StrategyId, path_lanes
 from .sharing import count_below, first_overflow, keys_below, placements
 # Unused here; bench/tracing.py patches it and its traced run needs it.
 from .sharing import sharing_function  # noqa: F401
@@ -58,10 +58,8 @@ def _search(scenario: Scenario, strategy: StrategyId):
     binds.  re/cf/fpf: the least key at cap binds; fpf fills every cap
     before it, re and cf every key below it, so `found` is each path's count
     at w_max.  The runaway guard compares the count with _SEARCH_CAP.
+    `core.path_lanes` raises ValueError for a scenario validate() rejects.
     """
-    problems = validate(scenario)
-    if problems:
-        raise ValueError("; ".join(problems))
     lanes = path_lanes(scenario)
     caps = [cap for _, _, cap in lanes]
     found = None

@@ -2,22 +2,22 @@
 
 `picker` is each strategy's per-Interest forwarding rule, as the simulator
 runs it.  `sharing_function` is its long-run allocation: a window size H
-maps to the average number of pending Interests on every path.  The model
-sums its rounds without it (by pieces for pe/ug/re/fpf, from `placements`
-for cf); the allocation tests and the bench's tracer read it.  pe/ug split
-H evenly.  re/cf/fpf each have one placement process that puts one
+maps to the average number of pending Interests on every path.  pe/ug
+split H evenly.  re/cf/fpf each have one placement process that puts one
 Interest at a time on the path of least key (value, pending, index), and
-their allocation is its first H steps.  re and fpf place as the
-simulator's picker does before any Data comes back, on the value
-max(2·delay, pending/rate); cf keeps the model's pending/sqrt(RTT) rule,
-because the simulator's cf is a stride over 1/pending.  As a path's key
-rises with its own pending count, every allocation is counted path by path
-(`keys_below`, `least_keys`), with no walk.  Only the model's cf cycle
-walks, as it needs each window's rate: `placements` runs cf's process on a
-heap, one heappushpop of the placed path's entry per step, and yields each
-step's path, that path's new pending count and its RTT at that count.  All
-of them satisfy sum(allocation) == H and allocation >= 0, and allocations
-only grow with H.
+their allocation is that process's first H steps.  re's and fpf's process
+is the simulator's own picker before any Data comes back, on the value
+max(2·delay, pending/rate), fpf below every pipeline cap first.  cf's is
+`placements`, a heap walk on the model's pending/sqrt(RTT) rule, because
+the simulator's cf is a stride over 1/pending.
+
+The model reads no allocation: as a path's key rises with its own pending
+count, the placement order is the sorted order of every path's keys, so
+the model counts that process path by path (`keys_below` at
+`first_overflow`) and walks `placements` only for cf's cycle, which needs
+each window's rate.  The allocation tests and the bench's tracer call
+`sharing_function`.  Every allocation sums to H, is never negative and
+only grows with H.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import Scenario, StrategyId, path_lanes
 # Unused here; bench/tracing.py patches it and its traced run needs it.
@@ -135,8 +136,8 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
     # ties, so identical paths interleave instead of piling onto one face.
     # The round trip is core.rtt, queue-aware: the propagation floor or the
     # time the current backlog needs to drain, whichever dominates.  The
-    # model counts the same order (`keys_below`); a test keeps its re/fpf
-    # allocations equal to this picker's first dispatches.
+    # re/fpf allocation replays this picker, the model counts its order
+    # (`keys_below`), and a test keeps that count equal to its dispatches.
     oracle = strategy is StrategyId.FPF and not estimated_caps
     # A face holding fewer than `below` keys 2·delay, its floor, with no
     # division: p/rate < 2·delay exactly when p < below.
@@ -175,7 +176,7 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 
 
 # ---------------------------------------------------------------------------
-# long-run allocation of a window
+# the placement order, counted
 #
 # re, cf and fpf place each Interest on the least key (value, p, index), p
 # the path's pending count.  re and fpf, as their pickers do before any Data
@@ -184,7 +185,6 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
 # sqrt(p·rate) past it.  Either value rises with the path's own p, so the
 # placement order is the sorted order of every path's keys, and how many
 # Interests a path holds below any key is a count for that path alone.
-# Nothing is walked.
 
 _EXACT = 2.0 ** 53  # below this, p/x rises with every whole p
 
@@ -267,52 +267,12 @@ def first_overflow(lanes, strategy: StrategyId):
                 for i, lane in enumerate(lanes)])
 
 
-def least_keys(lanes, starts, ends, total: int,
-               strategy: StrategyId) -> list[int]:
-    """Each path's count of the `total` least keys in the strategy's order,
-    path i's keys being those of pending starts[i] up to ends[i]
-    (math.inf: no end).
-
-    The (total+1)-th key is found by bisection: its value on floats, then
-    its pending and its index on whole numbers, each step counting the keys
-    below a trial key; the allocation is the count below it.
-    """
-    def counts(key):
-        return [min(max(keys_below(lane, i, key, strategy), a), b) - a
-                for i, (lane, a, b) in enumerate(zip(lanes, starts, ends))]
-
-    def after(key):  # more than `total` keys are below `key`
-        return sum(counts(key)) > total
-
-    # Past `total` keys of one path, or all of every path's (the caller
-    # asks for fewer), more than `total` keys are placed.
-    lo, hi = 0.0, max(key_at(lane, min(a + total, b - 1), 0, strategy)[0]
-                      for lane, a, b in zip(lanes, starts, ends))
-    if after((lo, math.inf, 0)):  # cf's keys at pending 0 are all 0.0
-        hi = lo
-    while lo < (mid := lo + (hi - lo) / 2) < hi:
-        lo, hi = (lo, mid) if after((mid, math.inf, 0)) else (mid, hi)
-    p = _first(lambda p: after((hi, p, len(lanes))), max(starts) + total)
-    i = _first(lambda i: after((hi, p, i + 1)), len(lanes))
-    return counts((hi, p, i))
-
-
-def _first(holds, hi: int) -> int:
-    """The least k in 0..hi at which `holds`, false then true as k rises,
-    is true; hi if none below it."""
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
-    return lo
-
-
 def placements(lanes):
     """cf's placement process over the paths whose `core.path_lanes` are
     `lanes`: an endless walk that yields `(path, pending, rtt)` for each
     successive Interest: the path it is placed on, that path's pending count
     after it and its core.rtt there, so its first k paths are window k's
-    allocation.  The model's cf cycle reads it for each window's rate.
+    allocation.  cf's `sharing_function` and the model's cf cycle read it.
 
     Each path has one heap entry, its key (pending/sqrt(rtt), pending,
     index).  A walk only adds Interests and a path's entry depends on its
@@ -342,17 +302,18 @@ def _even_split(scenario: Scenario, total: int) -> tuple[float, ...]:
 
 def _placed(scenario: Scenario, total: int,
             strategy: StrategyId) -> tuple[float, ...]:
-    # fpf fills every path to its cap before any spills; its spill, and all
-    # of re's and cf's allocation, go on the uncapped keys from there.
-    lanes = path_lanes(scenario)
-    n = len(lanes)
-    caps = ([cap for _, _, cap in lanes] if strategy is StrategyId.FPF
-            else [0] * n)
-    if total < sum(caps):
-        held = least_keys(lanes, [0] * n, caps, total, strategy)
+    # The first `total` steps of the placement process: re's and fpf's
+    # picker, oracle caps and no rng, with no Data back; cf's heap walk.
+    if strategy is StrategyId.CF:
+        held = [0] * len(scenario.paths)
+        for i, p, _ in islice(placements(path_lanes(scenario)), total):
+            held[i] = p
     else:
-        held = [c + s for c, s in zip(caps, least_keys(
-            lanes, caps, [math.inf] * n, total - sum(caps), strategy))]
+        faces = [FaceState() for _ in scenario.paths]
+        pick = picker(strategy, faces, scenario, False, None)
+        for _ in range(total):
+            faces[pick()].pending += 1
+        held = [f.pending for f in faces]
     return tuple(map(float, held))
 
 
@@ -360,8 +321,8 @@ def sharing_function(strategy: StrategyId):
     """The strategy's allocation, `(scenario, total) -> per-path pending`.
 
     pe and ug share the even split: ug's inverse-RTT round robin settles on
-    it.  re, cf and fpf count each path's keys among the `total` least,
-    fpf below every cap first.
+    it.  re, cf and fpf replay the first `total` steps of their placement
+    process, O(total) picks; the model counts that process instead.
     """
     if strategy in (StrategyId.PE, StrategyId.UG):
         return _even_split

@@ -3,7 +3,7 @@
 import pytest
 
 from icnflow import PathSpec, Scenario, StrategyId, validate
-from icnflow.core import pipeline_capacity, rate_msgs, rtt
+from icnflow.core import path_lanes, pipeline_capacity, rate_msgs, rtt
 
 MSG = 4876
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
@@ -71,22 +71,31 @@ class TestPipelineCapacity:
         assert pipeline_capacity(PathSpec(0.020, 10e6, 40), r) >= c
 
 
+def problems_of(scenario):
+    """validate()'s problems, which path_lanes() raises as one message."""
+    problems = validate(scenario)
+    with pytest.raises(ValueError) as raised:
+        path_lanes(scenario)
+    assert str(raised.value) == "; ".join(problems)
+    return problems
+
+
 class TestValidate:
     def test_reference_scenario_is_clean(self):
         assert validate(TWO_PATH) == []
 
     def test_empty_path_list(self):
-        problems = validate(Scenario((), MSG, 4096))
+        problems = problems_of(Scenario((), MSG, 4096))
         assert problems and any("path" in p for p in problems)
 
     def test_payload_larger_than_message(self):
         s = Scenario((PathSpec(0.02, 10e6, 20),), data_msg_bytes=100,
                      payload_bytes=200)
-        assert any("payload" in p for p in validate(s))
+        assert any("payload" in p for p in problems_of(s))
 
     def test_bad_path_parameters_all_reported(self):
         s = Scenario((PathSpec(-1.0, 0.0, -3),))
-        problems = validate(s)
+        problems = problems_of(s)
         assert len(problems) >= 3
 
     def test_zero_buffer_is_legal(self):
@@ -113,12 +122,12 @@ class TestValidate:
                            (PathSpec(1e197, 1e206, 20), "capacity"),
                            # positive, but the message rate underflows to 0
                            (PathSpec(0.02, 5e-324, 20), "backlog")):
-            problems = validate(Scenario((path,)))
+            problems = problems_of(Scenario((path,)))
             assert len(problems) == 1 and word in problems[0], path
         for msg, payload, word in ((huge, 4096, "data_msg_bytes"),
                                    (4876, huge, "payload_bytes")):
-            problems = validate(Scenario((PathSpec(0.02, 10e6, 20),), msg,
-                                         payload))
+            problems = problems_of(Scenario((PathSpec(0.02, 10e6, 20),),
+                                            msg, payload))
             assert problems == [f"{word} must be a finite whole number > 0, "
                                 "got a whole number past the float range"]
         # A whole float is still a whole number of messages.
@@ -131,7 +140,7 @@ class TestValidate:
         for msg, payload, word in ((float("inf"), 4096, "data_msg_bytes"),
                                    (4876.5, 4096, "data_msg_bytes"),
                                    (4876, 4096.5, "payload_bytes")):
-            problems = validate(Scenario(path, msg, payload))
+            problems = problems_of(Scenario(path, msg, payload))
             assert len(problems) == 1 and word in problems[0], (msg, payload)
 
 

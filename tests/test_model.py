@@ -242,7 +242,8 @@ class TestCycle:
         # Every strategy counts w_max and draws no placement for it.  cf's
         # cycle() then walks its w_max placements once, adding each window's
         # term as it goes.  Rebuilding every window from zero would draw
-        # O(w_max^2) placements.
+        # O(w_max^2) placements.  Neither builds a picker, so neither can
+        # replay an allocation.
         drawn = [0]
         real = sharing.placements
 
@@ -250,8 +251,12 @@ class TestCycle:
             for i in real(lanes):
                 drawn[0] += 1
                 yield i
+
+        def no_picker(*args):
+            raise AssertionError("the model built a picker")
         monkeypatch.setattr("icnflow.model.placements", counted)
         monkeypatch.setattr("icnflow.sharing.placements", counted)
+        monkeypatch.setattr("icnflow.sharing.picker", no_picker)
         for s in StrategyId:
             drawn[0] = 0
             w_max = cycle(EIGHT, s).w_max

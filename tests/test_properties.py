@@ -15,12 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 import _oracle
 from icnflow import (ModelError, PathSpec, Scenario, SimConfig, StrategyId,
                      cycle, run, wmax)
-from icnflow.core import pipeline_capacity, rate_msgs
+from icnflow.core import path_lanes, pipeline_capacity, rate_msgs
 from icnflow.sharing import FaceState, picker, sharing_function
 from icnflow.sim import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
                          LOSS_TIMEOUT)
 
 EXAMPLES = {
+    "path_lanes": 200,
     "vector_invariants": 300,
     "monotone_in_total": 250,
     "capacity_respect": 200,
@@ -58,6 +59,21 @@ def _feasible_scenario():
 
 ALL_STRATEGIES = st.sampled_from(list(StrategyId))
 TOTALS = st.integers(0, 500)
+
+
+# --------------------------------------------------------------------------
+# per-path lanes
+
+@settings(max_examples=EXAMPLES["path_lanes"], deadline=None,
+          derandomize=True)
+@given(_scenario(max_paths=6))
+def test_path_lanes_are_the_per_path_formulas(scen):
+    # One pass checks each path and builds its lane; the lane is still the
+    # per-path formulas' value, bit for bit.
+    assert path_lanes(scen) == [
+        (2.0 * p.delay, rate_msgs(scen, i),
+         pipeline_capacity(p, rate_msgs(scen, i)))
+        for i, p in enumerate(scen.paths)]
 
 
 # --------------------------------------------------------------------------
@@ -135,8 +151,8 @@ def test_wmax_is_the_last_window_that_fits(pool, data, msg_bytes, strat):
     paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
 
     def over(w):
-        # The reference walk's allocation: wmax() counts the same keys that
-        # sharing_function() does, so it cannot check that count.
+        # The reference walk's allocation, which shares no code with the
+        # count wmax() makes or the process sharing_function() replays.
         per = _oracle.ref_share(paths, msg_bytes, strat.token, w)
         return [i for i, (x, c) in enumerate(zip(per, caps)) if x > c]
 

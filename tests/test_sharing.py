@@ -73,11 +73,11 @@ class TestPendingWeighted:
         assert share_cf(s, 17) == (17.0,)
 
     def test_placements_break_exact_ties_as_the_reference_scan(self):
-        # re, cf and fpf count; each one's allocation at every h must be the
-        # reference scan's, and so must cf's heap walk, each of its steps'
-        # pending count and rtt the reference's for the placed path, bit for
-        # bit.  sum(caps) + n steps take every placement past every cap, and
-        # fpf into its spill.
+        # re, cf and fpf replay their placement process; each one's
+        # allocation at every h must be the reference scan's, and so must
+        # cf's heap walk, each of its steps' pending count and rtt the
+        # reference's for the placed path, bit for bit.  sum(caps) + n
+        # steps take every placement past every cap, and fpf into its spill.
         for scen in TIES:
             paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
             rates = [_oracle.ref_msg_rate(r, scen.data_msg_bytes)
@@ -133,21 +133,30 @@ class TestCapacityFilling:
 class TestSimulatorOrder:
     def test_re_and_fpf_walks_are_the_simulators_first_dispatches(self):
         # Before any Data comes back the simulator's picker only adds
-        # Interests, so its first W picks hold, path by path, what the
-        # model counts for a window of W.  Equal counts at every W = 1, 2,
-        # ... fix the whole sequence of picks.  sum(caps) + n picks take fpf
-        # past every cap and into its spill.
+        # Interests, and the model counts its order: before each pick, of
+        # path j, every path i holds as many Interests as it has keys below
+        # j's next key.  cf's process is its heap walk.  fpf's capped picks
+        # hold at most a path's cap until every cap is full, and its spill
+        # at least it.  sum(caps) + n steps take every process past every
+        # cap, and fpf into its spill.
         for scen in TIES:
-            caps = [pipeline_capacity(p, rate_msgs(scen, i))
-                    for i, p in enumerate(scen.paths)]
-            for s in (StrategyId.RE, StrategyId.FPF):
-                share = sharing_function(s)
-                faces = [FaceState() for _ in scen.paths]
-                pick = picker(s, faces, scen, False, None)
-                for w in range(1, sum(caps) + len(caps) + 1):
-                    faces[pick()].pending += 1
-                    assert share(scen, w) == tuple(
-                        float(f.pending) for f in faces), (scen, s, w)
+            lanes = path_lanes(scen)
+            caps = [cap for _, _, cap in lanes]
+            for s in PLACED:
+                faces = [FaceState() for _ in lanes]
+                pick = (picker(s, faces, scen, False, None)
+                        if s is not StrategyId.CF else
+                        (i for i, _, _ in placements(lanes)).__next__)
+                for _ in range(sum(caps) + len(caps)):
+                    j = pick()
+                    key = key_at(lanes[j], faces[j].pending, j, s)
+                    full = all(f.pending >= c for f, c in zip(faces, caps))
+                    for i, (lane, f, c) in enumerate(zip(lanes, faces, caps)):
+                        held = keys_below(lane, i, key, s)
+                        if s is StrategyId.FPF:
+                            held = max(held, c) if full else min(held, c)
+                        assert held == f.pending, (scen, s, key, i)
+                    faces[j].pending += 1
                 if s is StrategyId.FPF:
                     assert all(f.pending >= c for f, c in zip(faces, caps))
 
