@@ -57,14 +57,10 @@ def rtt(path: PathSpec, pending: float, msg_rate: float) -> float:
     return max(2.0 * path.delay, pending / msg_rate)
 
 
-# Absorbs float dust from unit conversions so a mathematically integral
-# bandwidth-delay product is not floored one message short.
+# The slack in the pipeline capacity floor: it absorbs float dust from unit
+# conversions so a mathematically integral bandwidth-delay product is not
+# floored one message short.
 _CAP_EPS = 1e-9
-
-
-def pipeline_capacity(path: PathSpec, msg_rate: float) -> int:
-    """Most messages a path sustains without loss: pipe (2*D*R) plus buffer."""
-    return math.floor(2.0 * path.delay * msg_rate + path.buffer_msgs + _CAP_EPS)
 
 
 def is_whole(x) -> bool:
@@ -96,7 +92,8 @@ def path_lanes(scenario: Scenario) -> list[tuple[float, float, int]]:
 
 def _checked(scenario: Scenario):
     """`(problems, lanes)` from one pass over the paths: each path's rate
-    and capacity are checked where its lane is built."""
+    and capacity are checked where its lane is built.  `validate`,
+    `path_lanes` and the simulator's `run` read it, each once."""
     errors, lanes = [], []
     if not scenario.paths:
         errors.append("empty path list")
@@ -123,7 +120,7 @@ def _checked(scenario: Scenario):
         elif msg_rate == 0 or not math.isfinite(capacity / msg_rate):
             errors.append(f"path {i}: message rate too low: a full "
                           "pipeline's backlog time overflows a float")
-        else:  # as pipeline_capacity() floors it
+        else:  # pipe plus buffer: the most a path holds without loss
             lanes.append((two_d, msg_rate, math.floor(capacity + _CAP_EPS)))
     if not msg_ok:
         errors.append(f"data_msg_bytes must be a finite whole number > 0, "

@@ -49,20 +49,20 @@ class FaceState:
 # is supplied, to a seeded random choice among the tied faces in index
 # order; only such a tie builds a list.
 
-def picker(strategy: StrategyId, faces, scenario: Scenario,
-           estimated_caps: bool, rng):
-    """The strategy's forwarding rule as a no-argument picker over `faces`.
+def picker(strategy: StrategyId, faces, lanes, estimated_caps: bool, rng):
+    """The strategy's forwarding rule as a no-argument picker over `faces`,
+    whose paths' `core.path_lanes` are `lanes`; it checks nothing.
 
     Each call returns the face for one outgoing Interest, reading the live
-    face state; ug/cf calls also move the round-robin credits.  With
-    `estimated_caps`, fpf caps a face at its learned `est_capacity` instead
-    of its pipeline capacity.
+    face state; ug/cf calls also move the round-robin credits.  re/fpf read
+    each lane's 2·delay and rate, and fpf its capacity; with
+    `estimated_caps`, fpf caps a face at its learned `est_capacity` instead.
     """
-    lanes = list(enumerate(faces))
+    indexed = list(enumerate(faces))
 
     def least_pending():
         best, tied, bp = None, None, math.inf
-        for i, f in lanes:
+        for i, f in indexed:
             p = f.pending
             if p < bp:
                 best, bp, tied = i, p, None
@@ -80,7 +80,7 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
         # adds them up left to right from 0.0 as it goes: sum() has used
         # compensated summation since Python 3.12, which gives other floats.
         best, tied, bk, bp = None, None, math.inf, 0
-        for i, f in lanes:
+        for i, f in indexed:
             f.rr_credit += weights[i] / w_sum
             k, p = -f.rr_credit, f.pending
             if k < bk or k == bk and p < bp:
@@ -99,7 +99,7 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
         def pick_ug():
             # Weights 1/srtt; unsampled faces borrow the best known srtt.
             probe, w_sum = None, 0.0
-            for i, f in lanes:
+            for i, f in indexed:
                 s = f.srtt
                 if s is None:
                     if probe is None:
@@ -118,7 +118,7 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
     if strategy is StrategyId.CF:
         def pick_cf():
             w_sum = 0.0
-            for i, f in lanes:
+            for i, f in indexed:
                 p = f.pending
                 if p == 0:
                     # An idle face has unbounded weight: take it at once.  As
@@ -143,8 +143,7 @@ def picker(strategy: StrategyId, faces, scenario: Scenario,
     # division: p/rate < 2·delay exactly when p < below.
     rtt_lanes = [(i, f, two_d, rate, count_below(two_d, rate),
                   cap if oracle else None)
-                 for (i, f), (two_d, rate, cap)
-                 in zip(lanes, path_lanes(scenario))]
+                 for (i, f), (two_d, rate, cap) in zip(indexed, lanes)]
 
     def least_rtt(capped=False):
         best, tied, bk, bp = None, None, math.inf, 0
@@ -304,13 +303,14 @@ def _placed(scenario: Scenario, total: int,
             strategy: StrategyId) -> tuple[float, ...]:
     # The first `total` steps of the placement process: re's and fpf's
     # picker, oracle caps and no rng, with no Data back; cf's heap walk.
+    lanes = path_lanes(scenario)
     if strategy is StrategyId.CF:
-        held = [0] * len(scenario.paths)
-        for i, p, _ in islice(placements(path_lanes(scenario)), total):
+        held = [0] * len(lanes)
+        for i, p, _ in islice(placements(lanes), total):
             held[i] = p
     else:
-        faces = [FaceState() for _ in scenario.paths]
-        pick = picker(strategy, faces, scenario, False, None)
+        faces = [FaceState() for _ in lanes]
+        pick = picker(strategy, faces, lanes, False, None)
         for _ in range(total):
             faces[pick()].pending += 1
         held = [f.pending for f in faces]

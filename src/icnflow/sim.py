@@ -41,7 +41,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Scenario, StrategyId, is_whole, shown, validate
+from .core import Scenario, StrategyId, _checked, is_whole, path_lanes, shown
 from .sharing import FaceState, picker
 
 LOSS_ORACLE = "oracle-immediate"
@@ -128,10 +128,10 @@ def select_face(strategy: StrategyId, faces, scenario: Scenario,
                 config: SimConfig, rng=None) -> int:
     """Pick the face for one outgoing Interest; ug/cf move their credits.
 
-    It builds the strategy's picker anew on every call, so it costs far more
-    than the pick; `run()` builds its picker once.  Kept for the face
-    selection tests and the bench's per-pick timing."""
-    return picker(strategy, faces, scenario,
+    It checks the scenario and builds its lanes and picker anew on every
+    call, so it costs far more than the pick; `run()` does each once.  Kept
+    for the face selection tests and the bench's per-pick timing."""
+    return picker(strategy, faces, path_lanes(scenario),
                   config.fpf_capacity_mode == FPF_CAP_ESTIMATED, rng)()
 
 
@@ -145,7 +145,8 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     result: events are totally ordered by (time, send index, kind), see
     `_EV_*`, and the only randomness is the seeded tie-breaker.
     """
-    problems = validate(scenario) + validate_config(config)
+    problems, lanes = _checked(scenario)
+    problems += validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
 
@@ -158,14 +159,15 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
     keep_srtt = strategy is StrategyId.UG
     est_mode = (strategy is StrategyId.FPF
                 and config.fpf_capacity_mode == FPF_CAP_ESTIMATED)
-    choose = picker(strategy, faces, scenario, est_mode, rng)
+    choose = picker(strategy, faces, lanes, est_mode, rng)
 
-    # Per face: its state, its bottleneck (finish times of the Data messages
-    # it holds, head in transmission and the rest in the buffer, as of the
-    # last arrival there), one-way delay, service time, buffer size, and its
+    # Per face, its link: its state, its bottleneck (finish times of the Data
+    # messages it holds, head in transmission and the rest in the buffer, as
+    # of the last arrival there), one-way delay, service time (from the path,
+    # as 8·bytes/rate_bps is not 1/rate in floats), buffer size, and its
     # returns: the Data and late-Data events still to come, in send order.
     returns = [deque() for _ in range(n)]
-    lanes = [(f, deque(), p.delay, 8.0 * scenario.data_msg_bytes / p.rate_bps,
+    links = [(f, deque(), p.delay, 8.0 * scenario.data_msg_bytes / p.rate_bps,
               p.buffer_msgs, r)
              for f, p, r in zip(faces, scenario.paths, returns)]
 
@@ -207,7 +209,7 @@ def run(scenario: Scenario, strategy: StrategyId, config: SimConfig) -> SimResul
             else:
                 break
             i = choose()
-            f, q, delay, svc, buf, rets = lanes[i]
+            f, q, delay, svc, buf, rets = links[i]
             p = f.pending = f.pending + 1
             if p > max_pending[i]:
                 max_pending[i] = p

@@ -3,7 +3,7 @@
 import pytest
 
 from icnflow import PathSpec, Scenario, StrategyId, validate
-from icnflow.core import path_lanes, pipeline_capacity, rate_msgs, rtt
+from icnflow.core import path_lanes, rate_msgs, rtt
 
 MSG = 4876
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
@@ -50,25 +50,29 @@ class TestRtt:
         assert lo == pytest.approx(hi, abs=1e-11)
 
 
+def capacity(path):
+    """The pipeline capacity of `path` alone, as path_lanes() floors it."""
+    return path_lanes(Scenario((path,)))[0][2]
+
+
 class TestPipelineCapacity:
+    """The capacity each lane of path_lanes() carries: pipe plus buffer."""
+
     def test_short_path(self):
-        assert pipeline_capacity(TWO_PATH.paths[0], rate_msgs(TWO_PATH, 0)) == 30
+        assert path_lanes(TWO_PATH)[0][2] == 30
 
     def test_long_path(self):
-        assert pipeline_capacity(TWO_PATH.paths[1], rate_msgs(TWO_PATH, 1)) == 81
+        assert path_lanes(TWO_PATH)[1][2] == 81
 
     def test_no_buffer_integral_case(self):
         # 2 * 0.1 s * 20 msg/s = 4 exactly, no buffer on top.
-        path = PathSpec(0.1, 20 * 8 * MSG, 0)
-        assert pipeline_capacity(path, rate_msgs(Scenario((path,)), 0)) == 4
+        assert capacity(PathSpec(0.1, 20 * 8 * MSG, 0)) == 4
 
     def test_monotone_in_every_parameter(self):
-        base = PathSpec(0.020, 10e6, 20)
-        r = rate_msgs(Scenario((base,)), 0)
-        c = pipeline_capacity(base, r)
-        assert pipeline_capacity(PathSpec(0.040, 10e6, 20), r) >= c
-        assert pipeline_capacity(base, 2 * r) >= c
-        assert pipeline_capacity(PathSpec(0.020, 10e6, 40), r) >= c
+        c = capacity(PathSpec(0.020, 10e6, 20))
+        assert capacity(PathSpec(0.040, 10e6, 20)) >= c
+        assert capacity(PathSpec(0.020, 20e6, 20)) >= c
+        assert capacity(PathSpec(0.020, 10e6, 40)) >= c
 
 
 def problems_of(scenario):
@@ -102,7 +106,7 @@ class TestValidate:
         assert validate(Scenario((PathSpec(0.02, 10e6, 0),))) == []
 
     def test_infinite_and_fractional_path_values_are_rejected(self):
-        # Each of these used to pass and then crash pipeline_capacity with an
+        # Each of these used to pass and then crash the capacity floor with an
         # OverflowError, or be silently used as a fractional buffer; a buffer
         # past the float range raised in validate() itself, and a message
         # rate of 0 crashed cycle() with a ZeroDivisionError.  A value of

@@ -13,7 +13,7 @@ from test_sharing import TIES
 from icnflow import ModelError, PathSpec, Scenario, StrategyId, cycle, wmax
 from icnflow import sharing
 from icnflow.cli import load_experiment
-from icnflow.core import pipeline_capacity, rate_msgs
+from icnflow.core import path_lanes
 
 TWO_PATH = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.120, 10e6, 20)))
 TWIN = Scenario((PathSpec(0.020, 10e6, 20), PathSpec(0.020, 10e6, 20)))
@@ -57,8 +57,7 @@ class TestWmax:
 
     def test_even_split_formula(self):
         # Real-valued even split: W/N <= min capacity, so N * min(C).
-        caps = [pipeline_capacity(p, rate_msgs(TWO_PATH, i))
-                for i, p in enumerate(TWO_PATH.paths)]
+        caps = [cap for _, _, cap in path_lanes(TWO_PATH)]
         assert wmax(TWO_PATH, StrategyId.PE) == 2 * min(caps)
         assert wmax(TWO_PATH, StrategyId.UG) == 2 * min(caps)
 
@@ -106,8 +105,7 @@ class TestWmax:
         # read from the reference walk, not from the count wmax() makes.
         wide = Scenario(tuple(PathSpec(0.001 * (1 + k % 7), 10e6, 1 + k % 3)
                               for k in range(300)))
-        caps = [pipeline_capacity(p, rate_msgs(wide, i))
-                for i, p in enumerate(wide.paths)]
+        caps = [cap for _, _, cap in path_lanes(wide)]
         paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in wide.paths]
         for s in (StrategyId.RE, StrategyId.CF, StrategyId.FPF):
             cs = cycle(wide, s)

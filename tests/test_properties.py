@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import _oracle
 from icnflow import (ModelError, PathSpec, Scenario, SimConfig, StrategyId,
                      cycle, run, wmax)
-from icnflow.core import path_lanes, pipeline_capacity, rate_msgs
+from icnflow.core import path_lanes, rate_msgs
 from icnflow.sharing import FaceState, picker, sharing_function
 from icnflow.sim import (FPF_CAP_ESTIMATED, FPF_CAP_ORACLE, LOSS_ORACLE,
                          LOSS_TIMEOUT)
@@ -69,10 +69,10 @@ TOTALS = st.integers(0, 500)
 @given(_scenario(max_paths=6))
 def test_path_lanes_are_the_per_path_formulas(scen):
     # One pass checks each path and builds its lane; the lane is still the
-    # per-path formulas' value, bit for bit.
+    # per-path formulas' value, bit for bit, its capacity the oracle's.
     assert path_lanes(scen) == [
         (2.0 * p.delay, rate_msgs(scen, i),
-         pipeline_capacity(p, rate_msgs(scen, i)))
+         _oracle.ref_capacity(p.delay, rate_msgs(scen, i), p.buffer_msgs))
         for i, p in enumerate(scen.paths)]
 
 
@@ -102,8 +102,7 @@ def test_every_path_share_grows_with_the_total(scen, strat, h):
           derandomize=True)
 @given(_scenario(buf=st.integers(2, 60)), st.data())
 def test_capacity_filling_respects_every_cap_until_all_are_full(scen, data):
-    caps = [pipeline_capacity(p, rate_msgs(scen, i))
-            for i, p in enumerate(scen.paths)]
+    caps = [cap for _, _, cap in path_lanes(scen)]
     h = data.draw(st.integers(0, sum(caps)))
     vec = sharing_function(StrategyId.FPF)(scen, h)
     assert all(x <= c for x, c in zip(vec, caps))
@@ -146,8 +145,7 @@ def test_wmax_is_the_last_window_that_fits(pool, data, msg_bytes, strat):
     scen = Scenario(tuple(pool[k] for k in data.draw(st.lists(
         st.integers(0, len(pool) - 1), min_size=1, max_size=6))), msg_bytes,
         msg_bytes - 780)
-    caps = [pipeline_capacity(p, rate_msgs(scen, i))
-            for i, p in enumerate(scen.paths)]
+    caps = [cap for _, _, cap in path_lanes(scen)]
     paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
 
     def over(w):
@@ -230,8 +228,7 @@ def test_even_split_is_blind_to_path_order(paths, data, strat):
         except ModelError:
             results.append(None)
             continue
-        caps = [pipeline_capacity(p, rate_msgs(scen, i))
-                for i, p in enumerate(scen.paths)]
+        caps = [cap for _, _, cap in path_lanes(scen)]
         assert caps[cs.binding_path] == min(caps)
         results.append(cs)
     a, b = results
@@ -311,12 +308,12 @@ def test_face_selector_matches_the_key_list_reference(lanes, strat, cap_mode,
     ref_faces = [replace(face) for _, face in lanes]
     rng = random.Random(seed) if seed is not None else None
     ref_rng = random.Random(seed) if seed is not None else None
+    scen_lanes = path_lanes(scen)
     caps = None
     if cap_mode == FPF_CAP_ORACLE:
-        caps = [pipeline_capacity(p, rate_msgs(scen, i))
-                for i, p in enumerate(scen.paths)]
+        caps = [cap for _, _, cap in scen_lanes]
     paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
-    pick = picker(strat, faces, scen, cap_mode == FPF_CAP_ESTIMATED, rng)
+    pick = picker(strat, faces, scen_lanes, cap_mode == FPF_CAP_ESTIMATED, rng)
     for _ in range(calls):
         i = pick()
         assert i == _oracle.ref_select_face(strat.token, ref_faces, paths,

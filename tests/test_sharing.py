@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import _oracle
+import icnflow
 from icnflow import PathSpec, Scenario, StrategyId
-from icnflow.core import path_lanes, pipeline_capacity, rate_msgs
+from icnflow.core import path_lanes
 from icnflow.sharing import (FaceState, key_at, keys_below, picker,
                              placements, sharing_function)
 
@@ -125,8 +126,7 @@ class TestCapacityFilling:
     def test_overflow_beyond_total_capacity_is_allowed(self):
         total = share_fpf(TWO_PATH, 120)
         assert sum(total) == 120
-        caps = [pipeline_capacity(p, rate_msgs(TWO_PATH, i))
-                for i, p in enumerate(TWO_PATH.paths)]
+        caps = [cap for _, _, cap in path_lanes(TWO_PATH)]
         assert any(x > c for x, c in zip(total, caps))
 
 
@@ -144,7 +144,7 @@ class TestSimulatorOrder:
             caps = [cap for _, _, cap in lanes]
             for s in PLACED:
                 faces = [FaceState() for _ in lanes]
-                pick = (picker(s, faces, scen, False, None)
+                pick = (picker(s, faces, lanes, False, None)
                         if s is not StrategyId.CF else
                         (i for i, _, _ in placements(lanes)).__next__)
                 for _ in range(sum(caps) + len(caps)):
@@ -165,14 +165,14 @@ class TestSimulatorOrder:
         # key, and on these scenarios equal faces tie on it exactly, so the
         # seeded rng picks among them.
         for scen in TIES:
-            caps = [pipeline_capacity(p, rate_msgs(scen, i))
-                    for i, p in enumerate(scen.paths)]
+            lanes = path_lanes(scen)
+            caps = [cap for _, _, cap in lanes]
             paths = [(p.delay, p.rate_bps, p.buffer_msgs) for p in scen.paths]
             for seed in range(1, 51):
                 faces = [FaceState(pending=c) for c in caps]
                 ref_faces = [FaceState(pending=c) for c in caps]
                 rng, ref_rng = random.Random(seed), random.Random(seed)
-                pick = picker(StrategyId.FPF, faces, scen, False, rng)
+                pick = picker(StrategyId.FPF, faces, lanes, False, rng)
                 for _ in range(3 * len(caps)):
                     i = pick()
                     assert i == _oracle.ref_select_face(
@@ -244,3 +244,44 @@ def test_module_imports_only_the_layers_above_it(module):
                      else [a.name for a in node.names])
             assert not any(n.split(".")[0] == "icnflow" for n in names), \
                 ast.unparse(node)
+
+
+def _defined(stmt):
+    """The module-level names a statement binds: a function, a class or an
+    assignment's targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def _read(stmt):
+    """Every name a statement reads: plain, as an attribute or imported."""
+    names = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names
+
+
+def test_every_source_name_is_read_by_the_program_or_exported():
+    # A name that only tests read is a second code path to keep in step:
+    # each one in src/ must be read by another statement of src/ or by
+    # bench/, or be part of the package root's library surface.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in [*SRC.glob("*.py"), *bench.glob("*.py")]}
+    statements = [(p, s) for p, tree in trees.items() for s in tree.body]
+    reads = {id(s): _read(s) for _, s in statements}
+    unread = [f"{p.stem}.{name}" for p, s in statements if p.parent == SRC
+              for name in _defined(s)
+              if name not in icnflow.__all__ and name != "__all__"
+              and not any(name in reads[id(o)] for _, o in statements
+                          if o is not s)]
+    assert unread == []

@@ -1,13 +1,15 @@
 """Unit tests for the event-driven simulator."""
 
 import hashlib
+import sys
 from dataclasses import astuple
 
 import pytest
 
 import _oracle
-from icnflow import PathSpec, Scenario, SimConfig, StrategyId, run
-from icnflow.core import pipeline_capacity, rate_msgs
+from icnflow import PathSpec, Scenario, SimConfig, StrategyId, run, validate
+from icnflow import core
+from icnflow.core import path_lanes, rate_msgs
 from icnflow.sim import (FPF_CAP_ESTIMATED, LOSS_TIMEOUT, FaceState,
                          select_face, validate_config)
 
@@ -55,9 +57,33 @@ class TestConfigValidation:
             problems = validate_config(cfg)
             assert len(problems) == 1 and word in problems[0], cfg
 
-    def test_run_rejects_bad_config(self):
+    def test_run_rejects_bad_config(self, monkeypatch):
         with pytest.raises(ValueError):
             run(TWO_PATH, StrategyId.PE, SimConfig())
+        # Both invalid: the scenario's problems first, then the config's.
+        scen = Scenario((PathSpec(-1.0, 0.0, -3),), 0, 10**5000)
+        cfg = SimConfig(duration=1.0, total_chunks=2.5, initial_window=0,
+                        loss_signal="carrier-pigeon")
+        want = "; ".join(validate(scen) + validate_config(cfg))
+        for s in StrategyId:
+            with pytest.raises(ValueError) as raised:
+                run(scen, s, cfg)
+            assert str(raised.value) == want
+        # A run checks its scenario in one pass, wherever the package binds
+        # that pass, under every strategy.
+        real, calls = core._checked, []
+
+        def counted(scenario):
+            calls.append(scenario)
+            return real(scenario)
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "icnflow"
+                    and getattr(module, "_checked", None) is real):
+                monkeypatch.setattr(module, "_checked", counted)
+        for s in StrategyId:
+            calls.clear()
+            run(TWO_PATH, s, SimConfig(total_chunks=50))
+            assert len(calls) == 1, s
 
 
 class TestFaceSelection:
@@ -113,7 +139,7 @@ class TestBufferCensus:
 
     def test_steady_state_loss_point_matches_pipeline_capacity(self):
         one = Scenario((PathSpec(0.020, 10e6, 20),))
-        cap = pipeline_capacity(one.paths[0], rate_msgs(one, 0))
+        cap = path_lanes(one)[0][2]
         res = run(one, StrategyId.PE, SimConfig(duration=20.0,
                                                 trace_window=True))
         assert res.per_face_max_pending[0] == cap + 1
@@ -153,8 +179,7 @@ class TestAccounting:
         assert res.elapsed > 0
 
     def test_capacity_bound_under_capacity_filling(self):
-        caps = [pipeline_capacity(p, rate_msgs(TWO_PATH, i))
-                for i, p in enumerate(TWO_PATH.paths)]
+        caps = [cap for _, _, cap in path_lanes(TWO_PATH)]
         res = run(TWO_PATH, StrategyId.FPF, SimConfig(duration=30.0))
         for i in range(2):
             assert res.per_face_max_pending[i] <= caps[i] + 1
